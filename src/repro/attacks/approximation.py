@@ -23,24 +23,21 @@ switch as :attr:`repro.federated.config.FederatedConfig.engine`):
   fixed), so batching the whole epoch is exact, not an approximation.
 * ``"loop"`` — the original one-user-at-a-time reference implementation.
 
-Negative sampling is orthogonal to the engine and selected by ``sampler``
-(propagated from :attr:`repro.federated.config.FederatedConfig.sampler`):
-``"permutation"`` draws one catalog permutation per active user in loop
-order, ``"batched"`` draws the whole epoch's negatives in one stacked
-rejection-sampling pass.  Each epoch's draws happen up front in both cases,
-so the two computation engines consume the attack RNG identically and from
-identical seeds produce matching approximations up to floating-point
-summation order — per sampler.
+Each epoch's negatives are drawn up front for every active user in one
+stacked rejection-sampling pass
+(:func:`repro.data.negative_sampling.sample_uniform_negatives_batched`, active
+users in row order, public positives as the masks) from the attack RNG.  Both
+engines consume that one draw, so from identical seeds they produce matching
+approximations up to floating-point summation order.  The simulation's
+``sampler`` switch does not reach the attacker: it governs only the clients'
+training draws.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.data.negative_sampling import (
-    sample_uniform_negatives,
-    sample_uniform_negatives_batched,
-)
+from repro.data.negative_sampling import sample_uniform_negatives_batched
 from repro.data.public import PublicInteractions
 from repro.exceptions import AttackError
 from repro.models.losses import bpr_coefficients_batched, bpr_loss_and_gradients
@@ -71,9 +68,6 @@ class UserMatrixApproximator:
         ``"vectorized"`` batches each SGD epoch over all active users;
         ``"loop"`` is the per-user reference path.  Identical RNG streams,
         matching results.
-    sampler:
-        ``"permutation"`` (default) draws per user in loop order;
-        ``"batched"`` draws the epoch's negatives in one stacked pass.
     """
 
     def __init__(
@@ -85,7 +79,6 @@ class UserMatrixApproximator:
         init_scale: float = 0.01,
         rng: np.random.Generator | int | None = None,
         engine: str = "vectorized",
-        sampler: str = "permutation",
     ) -> None:
         if num_factors <= 0:
             raise AttackError("num_factors must be positive")
@@ -93,16 +86,11 @@ class UserMatrixApproximator:
             raise AttackError("learning_rate must be positive")
         if engine not in ("loop", "vectorized"):
             raise AttackError(f"engine must be 'loop' or 'vectorized', got {engine!r}")
-        if sampler not in ("permutation", "batched"):
-            raise AttackError(
-                f"sampler must be 'permutation' or 'batched', got {sampler!r}"
-            )
         self.public = public
         self.num_factors = int(num_factors)
         self.learning_rate = float(learning_rate)
         self.l2_reg = float(l2_reg)
         self.engine = engine
-        self.sampler = sampler
         self._rng = ensure_rng(rng)
         num_users = public.dataset.num_users
         self.user_factors = self._rng.normal(0.0, init_scale, size=(num_users, num_factors))
@@ -131,6 +119,22 @@ class UserMatrixApproximator:
         for row, positives in enumerate(self._positives):
             self._positive_masks[row, positives] = True
         self._positive_masks.setflags(write=False)
+        # The same positives in CSR form for the vectorized epoch: counts per
+        # row (also the per-epoch negative quotas), the concatenated items
+        # and each item's rank within its row (to truncate a row to a short
+        # negative draw).
+        self._positive_counts = np.array(
+            [positives.shape[0] for positives in self._positives], dtype=np.int64
+        )
+        self._positive_values = (
+            np.concatenate(self._positives)
+            if self._positives
+            else np.empty(0, dtype=np.int64)
+        )
+        row_starts = np.cumsum(self._positive_counts) - self._positive_counts
+        self._positive_ranks = np.arange(
+            self._positive_values.shape[0], dtype=np.int64
+        ) - np.repeat(row_starts, self._positive_counts)
 
     @property
     def active_users(self) -> np.ndarray:
@@ -163,78 +167,46 @@ class UserMatrixApproximator:
             )
         if epochs <= 0 or self._active_users.shape[0] == 0:
             return
-        if self.engine == "vectorized":
-            for _ in range(epochs):
-                self._epoch_vectorized(item_factors)
-        else:
-            for _ in range(epochs):
-                negatives = self._draw_epoch_negatives()
+        for _ in range(epochs):
+            # One stacked draw per epoch, consumed by either engine, so the
+            # attack RNG stream does not depend on the engine.
+            negatives, offsets = sample_uniform_negatives_batched(
+                self._rng, self._num_items, self._positive_counts, self._positive_masks
+            )
+            if self.engine == "vectorized":
+                self._epoch_vectorized(item_factors, negatives, offsets)
+            else:
                 for row in range(self._active_users.shape[0]):
-                    self._update_user(row, item_factors, negatives[row])
-
-    # ------------------------------------------------------------------ #
-    # Epoch negative sampling (shared by both engines)
-    # ------------------------------------------------------------------ #
-    def _draw_epoch_negatives(self) -> list[np.ndarray]:
-        """One epoch's negatives for every active user, drawn up front.
-
-        ``"permutation"``: one draw per user in loop order (the historical
-        stream).  ``"batched"``: one stacked rejection-sampling pass over all
-        active users.  Both engines call this at the top of an epoch, so the
-        attack RNG stream depends only on the sampler.
-        """
-        if self.sampler == "batched":
-            counts = np.array(
-                [positives.shape[0] for positives in self._positives], dtype=np.int64
-            )
-            values, offsets = sample_uniform_negatives_batched(
-                self._rng, self._num_items, counts, self._positive_masks
-            )
-            return [
-                values[offsets[row] : offsets[row + 1]]
-                for row in range(counts.shape[0])
-            ]
-        return [
-            self._sample_negatives(row, self._positives[row].shape[0])
-            for row in range(self._active_users.shape[0])
-        ]
+                    self._update_user(
+                        row, item_factors, negatives[offsets[row] : offsets[row + 1]]
+                    )
 
     # ------------------------------------------------------------------ #
     # Vectorized epoch: one batched BPR call over all active users
     # ------------------------------------------------------------------ #
-    def _epoch_vectorized(self, item_factors: np.ndarray) -> None:
+    def _epoch_vectorized(
+        self, item_factors: np.ndarray, negatives: np.ndarray, offsets: np.ndarray
+    ) -> None:
         """One SGD pass over every active user in stacked numpy operations.
 
-        Negative samples are drawn up front through the configured sampler
-        (keeping the attack RNG streams identical to the loop engine's); the
-        gradient math — the expensive part — runs once over the concatenated
-        pairs.
+        ``negatives`` / ``offsets`` is the epoch's CSR draw.  A user whose
+        complement is smaller than its positive set gets fewer negatives, and
+        its positives are truncated to match, as in the loop engine.
         """
-        drawn = self._draw_epoch_negatives()
-        positives_list: list[np.ndarray] = []
-        negatives_list: list[np.ndarray] = []
-        counts = np.zeros(self._active_users.shape[0], dtype=np.int64)
-        for row in range(self._active_users.shape[0]):
-            positives = self._positives[row]
-            negatives = drawn[row]
-            if negatives.shape[0] < positives.shape[0]:
-                positives = positives[: negatives.shape[0]]
-            counts[row] = positives.shape[0]
-            positives_list.append(positives)
-            negatives_list.append(negatives)
-        total = int(counts.sum())
-        if total == 0:
+        if negatives.shape[0] == 0:
             return
-        segment_ids = np.repeat(np.arange(counts.shape[0], dtype=np.int64), counts)
-        positives = np.concatenate(positives_list)
-        negatives = np.concatenate(negatives_list)
+        negative_counts = np.diff(offsets)
+        keep = self._positive_ranks < np.repeat(negative_counts, self._positive_counts)
+        segment_ids = np.repeat(
+            np.arange(negative_counts.shape[0], dtype=np.int64), negative_counts
+        )
         # Only the user-vector gradients are needed, so the coefficients-only
         # kernel is used and the (nnz, k) item-gradient rows never exist.
         batched = bpr_coefficients_batched(
             self.user_factors[self._active_users],
             item_factors,
             segment_ids,
-            positives,
+            self._positive_values[keep],
             negatives,
             l2_reg=self.l2_reg,
         )
@@ -247,23 +219,11 @@ class UserMatrixApproximator:
         self, row: int, item_factors: np.ndarray, negatives: np.ndarray
     ) -> None:
         user = int(self._active_users[row])
-        positives = self._positives[row]
-        if positives.shape[0] == 0:
-            return
-        if negatives.shape[0] < positives.shape[0]:
-            positives = positives[: negatives.shape[0]]
+        # Truncated like the vectorized epoch when the complement is small.
+        positives = self._positives[row][: negatives.shape[0]]
         gradients = bpr_loss_and_gradients(
             self.user_factors[user], item_factors, positives, negatives, l2_reg=self.l2_reg
         )
         self.user_factors[user] = (
             self.user_factors[user] - self.learning_rate * gradients.grad_user
-        )
-
-    def _sample_negatives(self, row: int, count: int) -> np.ndarray:
-        return sample_uniform_negatives(
-            self._rng,
-            self._num_items,
-            count,
-            self._positive_masks[row],
-            num_positives=self._positives[row].shape[0],
         )

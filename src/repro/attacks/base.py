@@ -72,15 +72,6 @@ class AttackContext:
         the per-user reference implementations.  Both consume identical
         random streams and produce matching results up to floating-point
         summation order.
-    sampler:
-        The negative-sampling engine the attack's internal BPR optimisations
-        use, propagated from
-        :attr:`repro.federated.config.FederatedConfig.sampler` by the
-        simulation.  ``"permutation"`` draws per user in loop order;
-        ``"batched"`` draws every active user's negatives in one stacked
-        rejection-sampling pass per epoch.  Either way the draws consume the
-        attack RNG identically under both computation engines, so engine
-        equivalence holds per sampler.
     """
 
     num_items: int
@@ -93,7 +84,6 @@ class AttackContext:
     full_train: InteractionDataset | None = None
     rng: np.random.Generator = field(default_factory=lambda: ensure_rng(None))
     engine: str = "vectorized"
-    sampler: str = "permutation"
 
     def __post_init__(self) -> None:
         self.target_items = np.unique(np.asarray(self.target_items, dtype=np.int64))
@@ -103,10 +93,6 @@ class AttackContext:
             raise AttackError("target item id out of range")
         if self.engine not in ("loop", "vectorized"):
             raise AttackError(f"engine must be 'loop' or 'vectorized', got {self.engine!r}")
-        if self.sampler not in ("permutation", "batched"):
-            raise AttackError(
-                f"sampler must be 'permutation' or 'batched', got {self.sampler!r}"
-            )
 
 
 class Attack(ABC):

@@ -20,6 +20,11 @@ path of :class:`UserMatrixApproximator`) and the stacked-numpy pipeline
 (:func:`attack_loss_and_gradient_vectorized`, batched approximation).  Both
 consume identical attack-RNG streams and are equivalence-tested, so the
 engine choice changes wall-clock time only.
+
+The attack RNG stream is the same under every ``sampler`` setting: each
+approximation epoch draws all active users' negatives in one stacked
+rejection-sampling pass, and ``FederatedConfig.sampler`` governs only the
+clients' training draws.
 """
 
 from __future__ import annotations
@@ -46,6 +51,12 @@ __all__ = [
     "attack_loss_and_gradient_vectorized",
     "g_function",
 ]
+
+#: Rows of the score matrix partitioned per ``argpartition`` call in
+#: :func:`attack_loss_and_gradient_vectorized`; bounds its ``(rows, N)``
+#: index array without changing any result (rows are partitioned
+#: independently).
+TOP_K_ROW_BLOCK = 256
 
 
 def g_function(x: np.ndarray) -> np.ndarray:
@@ -217,6 +228,13 @@ def attack_loss_and_gradient_vectorized(
     first-minimum tie-break run the same algorithm per row as the reference's
     1-D calls, so both select identical top-K sets and boundary items.
 
+    The ``(A, N)`` score matrix is the only large allocation: the public
+    entries are saved, masked with ``-inf`` and the matrix negated in place
+    for the top-K partition (in blocks of :data:`TOP_K_ROW_BLOCK` rows, so
+    the partition's index array stays block-sized), then the unmasked
+    scores are restored.  Negation is exact, so this selects the same items
+    as partitioning a negated copy.
+
     ``public_items``, when given, is the list of each active user's public
     positives aligned with ``active_users`` (e.g.
     :attr:`UserMatrixApproximator.active_public_items`), saving the per-round
@@ -248,12 +266,22 @@ def attack_loss_and_gradient_vectorized(
         np.concatenate(publics) if counts.sum() > 0 else np.empty(0, dtype=np.int64)
     )
 
-    # V^rec'_i: top-K over the items each user has not publicly interacted with.
-    masked = scores.copy()
-    masked[public_rows, public_cols] = -np.inf
+    # The margins read the unmasked target scores, so gather them first.
+    target_scores = scores[:, target_items]  # (A, T)
+
+    # V^rec'_i: top-K over the items each user has not publicly interacted
+    # with, partitioned on the negated masked scores block by block.
+    public_scores = scores[public_rows, public_cols]
+    scores[public_rows, public_cols] = -np.inf
     k = min(top_k, num_items)
-    top = np.argpartition(-masked, k - 1, axis=1)[:, :k]  # (A, k)
-    top_scores = np.take_along_axis(masked, top, axis=1)
+    top = np.empty((num_active, k), dtype=np.int64)
+    for start in range(0, num_active, TOP_K_ROW_BLOCK):
+        block = scores[start : start + TOP_K_ROW_BLOCK]
+        np.negative(block, out=block)
+        top[start : start + TOP_K_ROW_BLOCK] = np.argpartition(block, k - 1, axis=1)[:, :k]
+        np.negative(block, out=block)
+    top_scores = np.take_along_axis(scores, top, axis=1)  # masked scores
+    scores[public_rows, public_cols] = public_scores
 
     # Boundary: lowest-scored non-target item in the top-K.  Targets are
     # lifted to +inf so the row argmin lands on the first minimum among the
@@ -282,7 +310,7 @@ def attack_loss_and_gradient_vectorized(
     ] = True
     valid = ~publicly_seen & has_boundary[:, None]  # (A, T)
 
-    margins = boundary_scores[:, None] - scores[:, target_items]
+    margins = boundary_scores[:, None] - target_scores
     if margin_mode == "linear":
         total_loss = float(np.sum(margins, where=valid))
         derivatives = valid.astype(np.float64)
@@ -333,7 +361,6 @@ class FedRecAttack(Attack):
             l2_reg=self.config.approx_l2,
             rng=context.rng,
             engine=context.engine,
-            sampler=context.sampler,
         )
 
     def on_round_start(

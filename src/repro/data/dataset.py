@@ -223,16 +223,24 @@ class InteractionDataset:
     def with_interactions_removed(
         self, removals: Sequence[tuple[int, int]], name: str | None = None
     ) -> "InteractionDataset":
-        """Return a copy with the given (user, item) pairs removed."""
-        removal_set = {(int(u), int(i)) for u, i in removals}
-        kept = [
-            (int(u), int(i))
-            for u, i in self._pairs
-            if (int(u), int(i)) not in removal_set
-        ]
+        """Return a copy with the given (user, item) pairs removed.
+
+        Duplicate removals and pairs the dataset does not hold are ignored.
+        """
+        removed = np.asarray(removals, dtype=np.int64).reshape(-1, 2)
+        # Out-of-range pairs are absent, and dropping them first keeps the
+        # flattened keys below collision-free.
+        in_range = (
+            (removed[:, 0] >= 0)
+            & (removed[:, 0] < self._num_users)
+            & (removed[:, 1] >= 0)
+            & (removed[:, 1] < self._num_items)
+        )
+        removed = removed[in_range]
+        keys = self._pairs[:, 0] * self._num_items + self._pairs[:, 1]
+        kept = ~np.isin(keys, removed[:, 0] * self._num_items + removed[:, 1])
         return InteractionDataset(
-            self._num_users, self._num_items, np.array(kept, dtype=np.int64).reshape(-1, 2),
-            name=name or self._name,
+            self._num_users, self._num_items, self._pairs[kept], name=name or self._name
         )
 
     def with_extra_users(self, extra_profiles: Sequence[np.ndarray], name: str | None = None) -> "InteractionDataset":

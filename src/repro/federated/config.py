@@ -62,8 +62,9 @@ class FederatedConfig:
         streams, so they produce matching results up to floating-point
         summation order.
     sampler:
-        Which negative-sampling engine clients (and the attacker's
-        user-matrix approximation) draw from.  ``"permutation"`` (default)
+        Which negative-sampling engine clients draw their training pairs
+        from (the attacker's user-matrix approximation has its own stacked
+        draw and ignores this switch).  ``"permutation"`` (default)
         keeps the historical per-user permutation draws and their per-client
         RNG streams — training realizations are bit-identical to earlier
         releases.  ``"batched"`` draws a whole round's negatives in one

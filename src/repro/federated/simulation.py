@@ -328,7 +328,6 @@ class FederatedSimulation:
             full_train=self.train,
             rng=self._seeds.generator("attack"),
             engine=self.config.engine,
-            sampler=self.config.sampler,
         )
         self.attack.setup(context, self.malicious_clients)
 

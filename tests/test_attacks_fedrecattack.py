@@ -6,6 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.attacks import fedrecattack
 from repro.attacks.approximation import UserMatrixApproximator
 from repro.attacks.base import AttackContext
 from repro.attacks.fedrecattack import (
@@ -16,9 +17,12 @@ from repro.attacks.fedrecattack import (
     g_derivative,
     g_function,
 )
+from repro.data.dataset import InteractionDataset
+from repro.data.negative_sampling import sample_uniform_negatives_batched
 from repro.data.public import sample_public_interactions
 from repro.exceptions import AttackError
 from repro.federated.client import MaliciousClient
+from repro.models.losses import bpr_loss_and_gradients
 
 
 class TestGFunction:
@@ -150,6 +154,18 @@ class TestVectorizedAttackerEquivalence:
         vec.refresh(item_factors, epochs=5)
         np.testing.assert_allclose(loop.user_factors, vec.user_factors, atol=1e-12)
 
+    def test_approximator_engines_match_on_truncated_draws(self):
+        # User 0's public positives cover 3 of 4 items, so its draw holds one
+        # negative and both engines pair it with its first positive only.
+        dataset = InteractionDataset(3, 4, [(0, 0), (0, 1), (0, 2), (1, 3), (2, 1)])
+        public = sample_public_interactions(dataset, 1.0, rng=0)
+        item_factors = np.random.default_rng(5).normal(size=(4, 3))
+        loop = UserMatrixApproximator(public, num_factors=3, rng=3, engine="loop")
+        vec = UserMatrixApproximator(public, num_factors=3, rng=3, engine="vectorized")
+        loop.refresh(item_factors, epochs=4)
+        vec.refresh(item_factors, epochs=4)
+        np.testing.assert_allclose(loop.user_factors, vec.user_factors, atol=1e-12)
+
     def test_approximator_engines_consume_identical_rng_streams(
         self, small_split, small_public, rng
     ):
@@ -162,29 +178,105 @@ class TestVectorizedAttackerEquivalence:
         # state — the property that keeps whole-simulation runs equivalent.
         assert loop._rng.integers(0, 2**60) == vec._rng.integers(0, 2**60)
 
+    @pytest.mark.parametrize("engine", ["loop", "vectorized"])
+    def test_approximator_epoch_consumes_one_stacked_draw(
+        self, small_split, small_public, rng, engine
+    ):
+        # The RNG contract: the initialisation, then per refresh epoch exactly
+        # one sample_uniform_negatives_batched call over the active users
+        # (public positive counts as quotas, public masks), whatever the engine.
+        num_items = small_split.train.num_items
+        item_factors = rng.normal(size=(num_items, 8), scale=0.4)
+        approximator = UserMatrixApproximator(
+            small_public, num_factors=8, rng=np.random.default_rng(11), engine=engine
+        )
+        twin = np.random.default_rng(11)
+        expected = twin.normal(0.0, 0.01, size=(small_split.train.num_users, 8))
+        active = approximator.active_users
+        publics = [small_public.positive_items(int(user)) for user in active]
+        masks = np.zeros((active.shape[0], num_items), dtype=bool)
+        for row, items in enumerate(publics):
+            masks[row, items] = True
+        counts = np.array([items.shape[0] for items in publics], dtype=np.int64)
+        negatives, offsets = sample_uniform_negatives_batched(twin, num_items, counts, masks)
+
+        approximator.refresh(item_factors, epochs=1)
+
+        assert approximator._rng.bit_generator.state == twin.bit_generator.state
+        for row, user in enumerate(active):
+            user_negatives = negatives[offsets[row] : offsets[row + 1]]
+            gradients = bpr_loss_and_gradients(
+                expected[user], item_factors, publics[row][: user_negatives.shape[0]],
+                user_negatives, l2_reg=approximator.l2_reg,
+            )
+            expected[user] = expected[user] - approximator.learning_rate * gradients.grad_user
+        np.testing.assert_allclose(approximator.user_factors, expected, atol=1e-12)
+
+    def test_attack_context_has_no_sampler(self, small_split, small_targets):
+        # The attacker's draw does not depend on the clients' sampler switch.
+        with pytest.raises(TypeError):
+            AttackContext(
+                num_items=small_split.train.num_items,
+                num_factors=8,
+                target_items=small_targets,
+                malicious_client_ids=[0],
+                learning_rate=0.05,
+                clip_norm=1.0,
+                sampler="batched",
+            )
+
     def test_approximator_rejects_unknown_engine(self, small_public):
         with pytest.raises(AttackError):
             UserMatrixApproximator(small_public, num_factors=8, rng=0, engine="gpu")
 
+    @pytest.mark.parametrize(
+        "case",
+        ["default", "ragged-row-blocks", "inf-in-top-k", "all-top-k-targets", "duplicate-targets"],
+    )
     @pytest.mark.parametrize("margin_mode", ["saturating", "linear"])
     def test_attack_loss_and_gradient_match(
-        self, small_split, small_public, rng, margin_mode
+        self, small_split, small_public, rng, margin_mode, case, monkeypatch
     ):
         num_items = small_split.train.num_items
         item_factors = rng.normal(size=(num_items, 6), scale=0.5)
         user_factors = rng.normal(size=(small_split.train.num_users, 6), scale=0.5)
         active = small_public.users_with_public_interactions()
         targets = np.array([1, 3, 7])
+        top_k = 5
+        if case == "ragged-row-blocks":
+            # Several score-row blocks, the last one partial.
+            monkeypatch.setattr(fedrecattack, "TOP_K_ROW_BLOCK", 7)
+            assert active.shape[0] % 7 != 0
+        elif case == "inf-in-top-k":
+            # The most active public user leaves fewer than top_k unmasked
+            # items, so -inf (publicly seen) entries enter its top-K while
+            # top_k stays below the catalog size.
+            most_public = max(small_public.positive_items(int(user)).shape[0] for user in active)
+            top_k = num_items - most_public + 1
+            assert top_k < num_items
+        elif case == "all-top-k-targets":
+            # The first active user's whole top-K are targets: no boundary.
+            user = int(active[0])
+            scores = item_factors @ user_factors[user]
+            scores[small_public.positive_items(user)] = -np.inf
+            targets = np.sort(np.argsort(-scores, kind="stable")[:top_k])
+        elif case == "duplicate-targets":
+            targets = np.array([7, 3, 3, 1, 7])
+        user_before, item_before = user_factors.copy(), item_factors.copy()
         loss_loop, grad_loop = attack_loss_and_gradient(
-            user_factors, item_factors, active, small_public, targets,
-            top_k=5, margin_mode=margin_mode,
+            user_factors, item_factors, active, small_public, np.unique(targets),
+            top_k=top_k, margin_mode=margin_mode,
         )
         loss_vec, grad_vec = attack_loss_and_gradient_vectorized(
             user_factors, item_factors, active, small_public, targets,
-            top_k=5, margin_mode=margin_mode,
+            top_k=top_k, margin_mode=margin_mode,
         )
         assert loss_vec == pytest.approx(loss_loop, rel=1e-9, abs=1e-12)
         np.testing.assert_allclose(grad_vec, grad_loop, atol=1e-12)
+        # The vectorized loss masks and negates its own score matrix in
+        # place; the factor matrices it was handed must come back untouched.
+        np.testing.assert_array_equal(user_factors, user_before)
+        np.testing.assert_array_equal(item_factors, item_before)
 
     def test_attack_loss_vectorized_deduplicates_targets(
         self, small_split, small_public, rng

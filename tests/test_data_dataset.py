@@ -135,6 +135,32 @@ class TestDerivedDatasets:
         assert not reduced.has_interaction(1, 3)
         assert reduced.has_interaction(0, 1)
 
+    def test_with_interactions_removed_matches_set_rule(self, small_dataset):
+        # Held pairs (some repeated), pairs the dataset lacks, and ids out of
+        # range: the result must equal filtering the pairs through a set.
+        rng = np.random.default_rng(4)
+        pairs = small_dataset.pairs
+        held = pairs[rng.choice(pairs.shape[0], size=40, replace=False)]
+        absent = [
+            (user, item)
+            for user, item in zip(
+                rng.integers(0, small_dataset.num_users, 200),
+                rng.integers(0, small_dataset.num_items, 200),
+            )
+            if not small_dataset.has_interaction(int(user), int(item))
+        ][:20]
+        out_of_range = [(-1, 0), (0, -1), (1, -1), (small_dataset.num_users, 0), (0, 10**6)]
+        removals = [tuple(pair) for pair in held] + [tuple(pair) for pair in held[:10]]
+        removals += absent + out_of_range
+        removal_set = {(int(user), int(item)) for user, item in removals}
+        expected = [tuple(pair) for pair in pairs.tolist() if tuple(pair) not in removal_set]
+
+        reduced = small_dataset.with_interactions_removed(removals)
+
+        assert reduced.pairs.tolist() == [list(pair) for pair in expected]
+        assert reduced.num_interactions == small_dataset.num_interactions - 40
+        assert small_dataset.with_interactions_removed([]) == small_dataset
+
     def test_with_interactions_removed_keeps_originals(self, tiny_dataset):
         before = tiny_dataset.num_interactions
         tiny_dataset.with_interactions_removed([(0, 0)])

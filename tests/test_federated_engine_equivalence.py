@@ -153,8 +153,9 @@ class TestEngineEquivalence:
         # The full attacker pipeline switches with the engine: the loop run
         # uses the per-user approximation and attack-loss reference, the
         # vectorized run the stacked implementations.  Both consume identical
-        # random streams per sampler — including the approximation's negative
-        # draws — so the histories must still coincide.
+        # random streams per sampler (the sampler selects the clients' draws;
+        # the approximation's one stacked draw per epoch is shared by both
+        # engines), so the histories must still coincide.
         def make_attack():
             return FedRecAttack(
                 small_public,
