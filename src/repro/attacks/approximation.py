@@ -16,11 +16,14 @@ matches the ablation result that the attack collapses at ``xi = 0``.
 Two implementations of the SGD pass exist, selected by ``engine`` (the same
 switch as :attr:`repro.federated.config.FederatedConfig.engine`):
 
-* ``"vectorized"`` (default) — one call to
-  :func:`repro.models.losses.bpr_coefficients_batched` per epoch over
-  all active users' stacked vectors.  Within an epoch the per-user updates
-  are independent (each touches only its own row of ``U`` while ``V`` stays
-  fixed), so batching the whole epoch is exact, not an approximation.
+* ``"vectorized"`` (default) — one stacked pass per epoch over all active
+  users.  Each sampled pair's margin is ``(V[pos] - V[neg]) . u``, the
+  per-user reference's own formula, evaluated for the sampled pairs only (no
+  ``(A, N)`` score matrix is formed), and the user gradients are one
+  weighted :func:`repro.models.losses.segment_sum` of the same difference
+  rows.  Within an epoch the per-user updates are independent (each touches
+  only its own row of ``U`` while ``V`` stays fixed), so batching the whole
+  epoch is exact, not an approximation.
 * ``"loop"`` — the original one-user-at-a-time reference implementation.
 
 Each epoch's negatives are drawn up front for every active user in one
@@ -40,7 +43,7 @@ import numpy as np
 from repro.data.negative_sampling import sample_uniform_negatives_batched
 from repro.data.public import PublicInteractions
 from repro.exceptions import AttackError
-from repro.models.losses import bpr_coefficients_batched, bpr_loss_and_gradients
+from repro.models.losses import bpr_loss_and_gradients, segment_sum, sigmoid
 from repro.rng import ensure_rng
 
 __all__ = ["UserMatrixApproximator"]
@@ -171,7 +174,11 @@ class UserMatrixApproximator:
             # One stacked draw per epoch, consumed by either engine, so the
             # attack RNG stream does not depend on the engine.
             negatives, offsets = sample_uniform_negatives_batched(
-                self._rng, self._num_items, self._positive_counts, self._positive_masks
+                self._rng,
+                self._num_items,
+                self._positive_counts,
+                self._positive_masks,
+                num_positives=self._positive_counts,
             )
             if self.engine == "vectorized":
                 self._epoch_vectorized(item_factors, negatives, offsets)
@@ -182,7 +189,7 @@ class UserMatrixApproximator:
                     )
 
     # ------------------------------------------------------------------ #
-    # Vectorized epoch: one batched BPR call over all active users
+    # Vectorized epoch: every active user's sampled pairs at once
     # ------------------------------------------------------------------ #
     def _epoch_vectorized(
         self, item_factors: np.ndarray, negatives: np.ndarray, offsets: np.ndarray
@@ -191,26 +198,29 @@ class UserMatrixApproximator:
 
         ``negatives`` / ``offsets`` is the epoch's CSR draw.  A user whose
         complement is smaller than its positive set gets fewer negatives, and
-        its positives are truncated to match, as in the loop engine.
+        its positives are truncated to match, as in the loop engine.  Only
+        the sampled pairs are scored: a user's gradient is
+        ``sum_pairs c * (V[pos] - V[neg]) + 2 * l2 * u`` with
+        ``c = -sigmoid(-margin)``, exactly the per-user reference's terms.
         """
         if negatives.shape[0] == 0:
             return
+        num_active = self._active_users.shape[0]
         negative_counts = np.diff(offsets)
         keep = self._positive_ranks < np.repeat(negative_counts, self._positive_counts)
-        segment_ids = np.repeat(
-            np.arange(negative_counts.shape[0], dtype=np.int64), negative_counts
+        segment_ids = np.repeat(np.arange(num_active, dtype=np.int64), negative_counts)
+        users = self.user_factors[self._active_users]
+        differences = item_factors[self._positive_values[keep]]
+        differences -= item_factors[negatives]
+        margins = np.einsum("ij,ij->i", differences, users[segment_ids])
+        gradients = segment_sum(
+            differences, segment_ids, num_active, weights=-sigmoid(-margins)
         )
-        # Only the user-vector gradients are needed, so the coefficients-only
-        # kernel is used and the (nnz, k) item-gradient rows never exist.
-        batched = bpr_coefficients_batched(
-            self.user_factors[self._active_users],
-            item_factors,
-            segment_ids,
-            self._positive_values[keep],
-            negatives,
-            l2_reg=self.l2_reg,
-        )
-        self.user_factors[self._active_users] -= self.learning_rate * batched.grad_users
+        # Users left without pairs (an exhausted complement) get no gradient
+        # at all, regularisation included, like the reference's empty call.
+        has_pairs = negative_counts > 0
+        gradients[has_pairs] += 2.0 * self.l2_reg * users[has_pairs]
+        self.user_factors[self._active_users] -= self.learning_rate * gradients
 
     # ------------------------------------------------------------------ #
     # Loop reference path: one user at a time

@@ -228,12 +228,15 @@ def attack_loss_and_gradient_vectorized(
     first-minimum tie-break run the same algorithm per row as the reference's
     1-D calls, so both select identical top-K sets and boundary items.
 
-    The ``(A, N)`` score matrix is the only large allocation: the public
-    entries are saved, masked with ``-inf`` and the matrix negated in place
-    for the top-K partition (in blocks of :data:`TOP_K_ROW_BLOCK` rows, so
-    the partition's index array stays block-sized), then the unmasked
-    scores are restored.  Negation is exact, so this selects the same items
-    as partitioning a negated copy.
+    The ``(A, N)`` score matrix is the only large allocation, and it holds
+    the *negated* scores: the GEMM runs on the negated user vectors, which
+    is bit-identical to negating its product (every product and partial sum
+    only flips sign).  The top-K partition (in blocks of
+    :data:`TOP_K_ROW_BLOCK` rows, so its index array stays block-sized)
+    therefore reads the matrix directly, with the public entries saved and
+    masked with ``+inf`` and restored afterwards.  The three reads of
+    scores — the target scores, the top-K scores and the boundary scores —
+    negate their small gathers back.
 
     ``public_items``, when given, is the list of each active user's public
     positives aligned with ``active_users`` (e.g.
@@ -252,7 +255,7 @@ def attack_loss_and_gradient_vectorized(
         return 0.0, gradient
 
     stacked = user_factors[active_users]  # (A, k)
-    scores = stacked @ item_factors.T  # (A, N)
+    negated_scores = np.negative(stacked) @ item_factors.T  # (A, N), -scores
 
     # Public interactions of the active users in COO layout.
     publics = (
@@ -267,21 +270,20 @@ def attack_loss_and_gradient_vectorized(
     )
 
     # The margins read the unmasked target scores, so gather them first.
-    target_scores = scores[:, target_items]  # (A, T)
+    target_scores = -negated_scores[:, target_items]  # (A, T)
 
     # V^rec'_i: top-K over the items each user has not publicly interacted
-    # with, partitioned on the negated masked scores block by block.
-    public_scores = scores[public_rows, public_cols]
-    scores[public_rows, public_cols] = -np.inf
+    # with, partitioned block by block on the negated scores with the public
+    # entries masked to +inf (the negation of the reference's -inf).
+    public_scores = negated_scores[public_rows, public_cols]
+    negated_scores[public_rows, public_cols] = np.inf
     k = min(top_k, num_items)
     top = np.empty((num_active, k), dtype=np.int64)
     for start in range(0, num_active, TOP_K_ROW_BLOCK):
-        block = scores[start : start + TOP_K_ROW_BLOCK]
-        np.negative(block, out=block)
+        block = negated_scores[start : start + TOP_K_ROW_BLOCK]
         top[start : start + TOP_K_ROW_BLOCK] = np.argpartition(block, k - 1, axis=1)[:, :k]
-        np.negative(block, out=block)
-    top_scores = np.take_along_axis(scores, top, axis=1)  # masked scores
-    scores[public_rows, public_cols] = public_scores
+    top_scores = -np.take_along_axis(negated_scores, top, axis=1)  # masked scores
+    negated_scores[public_rows, public_cols] = public_scores
 
     # Boundary: lowest-scored non-target item in the top-K.  Targets are
     # lifted to +inf so the row argmin lands on the first minimum among the
@@ -296,7 +298,7 @@ def attack_loss_and_gradient_vectorized(
     # (the reference's "nothing to push" case).
     has_boundary = non_target_scores[arange_active, boundary_positions] < np.inf
     boundary_items = top[arange_active, boundary_positions]
-    boundary_scores = scores[arange_active, boundary_items]
+    boundary_scores = -negated_scores[arange_active, boundary_items]
 
     # Targets each user has not publicly interacted with (and only for users
     # that have a boundary to push them over).

@@ -62,7 +62,7 @@ class InteractionDataset:
                 raise DataError("user id out of range")
             if pairs[:, 1].min() < 0 or pairs[:, 1].max() >= num_items:
                 raise DataError("item id out of range")
-        pairs = np.unique(pairs, axis=0)
+        pairs = self._dedup_sorted(pairs, num_items)
 
         self._name = name
         self._num_users = int(num_users)
@@ -73,17 +73,34 @@ class InteractionDataset:
         self._store = None
 
     @staticmethod
+    def _dedup_sorted(pairs: np.ndarray, num_items: int) -> np.ndarray:
+        """``np.unique(pairs, axis=0)`` through sorted ``user * num_items + item`` keys.
+
+        The keys order the pairs lexicographically, so sorting them and
+        dropping adjacent repeats gives the same distinct pairs in the same
+        order, without ``np.unique``'s row-wise void sort.  The ids were
+        range-checked, and both dimensions are materialised (per-user lists,
+        per-item counts), so the keys fit in int64.
+        """
+        keys = pairs[:, 0] * num_items
+        keys += pairs[:, 1]
+        keys.sort()
+        if keys.shape[0] > 1:
+            distinct = np.empty(keys.shape[0], dtype=bool)
+            distinct[0] = True
+            np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
+            keys = keys[distinct]
+        unique = np.empty((keys.shape[0], 2), dtype=np.int64)
+        np.floor_divide(keys, num_items, out=unique[:, 0])
+        np.remainder(keys, num_items, out=unique[:, 1])
+        return unique
+
+    @staticmethod
     def _group_by_user(pairs: np.ndarray, num_users: int) -> list[np.ndarray]:
-        grouped: list[np.ndarray] = [np.empty(0, dtype=np.int64) for _ in range(num_users)]
-        if pairs.shape[0] == 0:
-            return grouped
-        order = np.argsort(pairs[:, 0], kind="stable")
-        sorted_pairs = pairs[order]
-        users, starts = np.unique(sorted_pairs[:, 0], return_index=True)
-        boundaries = np.append(starts, sorted_pairs.shape[0])
-        for idx, user in enumerate(users):
-            grouped[int(user)] = np.sort(sorted_pairs[boundaries[idx] : boundaries[idx + 1], 1])
-        return grouped
+        """Each user's items, sliced out of the (user, item)-sorted ``pairs``."""
+        items = np.ascontiguousarray(pairs[:, 1])
+        bounds = np.searchsorted(pairs[:, 0], np.arange(num_users + 1))
+        return [items[bounds[user] : bounds[user + 1]] for user in range(num_users)]
 
     # ------------------------------------------------------------------ #
     # Basic properties

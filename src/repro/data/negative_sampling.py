@@ -83,6 +83,7 @@ def sample_uniform_negatives_batched(
     positive_masks: np.ndarray,
     *,
     copy: bool = True,
+    num_positives: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw distinct uniform negatives for ``B`` users in one stacked pass.
 
@@ -105,6 +106,11 @@ def sample_uniform_negatives_batched(
         private array the caller relinquishes — e.g. the fresh gather
         returned by :meth:`repro.data.store.InteractionStore.mask_rows` —
         since the rows are mutated in place.
+    num_positives:
+        Optional per-user popcount of ``positive_masks``, shape ``(B,)``, for
+        callers that cache it (e.g. the attacker's public positive counts);
+        computed from the masks when omitted.  It must equal the popcount:
+        the draw is identical either way.
 
     Returns
     -------
@@ -128,7 +134,14 @@ def sample_uniform_negatives_batched(
         )
     if np.any(counts < 0):
         raise DataError("counts must be non-negative")
-    num_positives = positive_masks.sum(axis=1)
+    if num_positives is None:
+        num_positives = positive_masks.sum(axis=1)
+    else:
+        num_positives = np.asarray(num_positives, dtype=np.int64)
+        if num_positives.shape != (num_users,):
+            raise DataError(
+                f"num_positives must have shape ({num_users},), got {num_positives.shape}"
+            )
     counts = np.minimum(counts, num_items - num_positives)
     offsets = np.zeros(num_users + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])

@@ -3,6 +3,8 @@ approximation and the constrained gradient upload."""
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -143,6 +145,19 @@ class TestUserMatrixApproximator:
         assert cosine > 0.5
 
 
+def _wide_public_and_items():
+    """Public interactions of 600 users over 2,000 items and a k=32 ``V``."""
+    gen = np.random.default_rng(21)
+    num_users, num_items = 600, 2000
+    pairs = np.column_stack(
+        [np.repeat(np.arange(num_users), 12), gen.integers(0, num_items, 12 * num_users)]
+    )
+    public = sample_public_interactions(
+        InteractionDataset(num_users, num_items, pairs), 0.4, rng=1
+    )
+    return public, gen.normal(size=(num_items, 32), scale=0.4)
+
+
 class TestVectorizedAttackerEquivalence:
     """The stacked attacker implementations must match the loop references."""
 
@@ -157,7 +172,10 @@ class TestVectorizedAttackerEquivalence:
     def test_approximator_engines_match_on_truncated_draws(self):
         # User 0's public positives cover 3 of 4 items, so its draw holds one
         # negative and both engines pair it with its first positive only.
-        dataset = InteractionDataset(3, 4, [(0, 0), (0, 1), (0, 2), (1, 3), (2, 1)])
+        # User 3's cover all 4: no pairs, so no step at all (not even L2).
+        dataset = InteractionDataset(
+            4, 4, [(0, 0), (0, 1), (0, 2), (1, 3), (2, 1), (3, 0), (3, 1), (3, 2), (3, 3)]
+        )
         public = sample_public_interactions(dataset, 1.0, rng=0)
         item_factors = np.random.default_rng(5).normal(size=(4, 3))
         loop = UserMatrixApproximator(public, num_factors=3, rng=3, engine="loop")
@@ -165,6 +183,33 @@ class TestVectorizedAttackerEquivalence:
         loop.refresh(item_factors, epochs=4)
         vec.refresh(item_factors, epochs=4)
         np.testing.assert_allclose(loop.user_factors, vec.user_factors, atol=1e-12)
+
+    def test_approximator_engines_match_at_paper_rank(self):
+        # num_factors=32 (the paper's k) over >= 500 active users: the
+        # per-pair margins and the segment-summed user gradients of the
+        # vectorized epoch agree with the per-user reference.
+        public, item_factors = _wide_public_and_items()
+        loop = UserMatrixApproximator(public, num_factors=32, rng=3, engine="loop")
+        vec = UserMatrixApproximator(public, num_factors=32, rng=3, engine="vectorized")
+        assert vec.active_users.shape[0] >= 500
+        loop.refresh(item_factors, epochs=5)
+        vec.refresh(item_factors, epochs=5)
+        np.testing.assert_allclose(loop.user_factors, vec.user_factors, atol=1e-12)
+
+    def test_vectorized_epoch_never_allocates_a_score_matrix(self):
+        # The epoch scores only its sampled pairs: its peak allocation stays
+        # below one (active users x items) float64 matrix.
+        public, item_factors = _wide_public_and_items()
+        num_items = item_factors.shape[0]
+        approximator = UserMatrixApproximator(public, num_factors=32, rng=3)
+        approximator.refresh(item_factors, epochs=1)
+        tracemalloc.start()
+        try:
+            approximator.refresh(item_factors, epochs=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < approximator.active_users.shape[0] * num_items * 8
 
     def test_approximator_engines_consume_identical_rng_streams(
         self, small_split, small_public, rng
@@ -231,7 +276,14 @@ class TestVectorizedAttackerEquivalence:
 
     @pytest.mark.parametrize(
         "case",
-        ["default", "ragged-row-blocks", "inf-in-top-k", "all-top-k-targets", "duplicate-targets"],
+        [
+            "default",
+            "ragged-row-blocks",
+            "inf-in-top-k",
+            "all-top-k-targets",
+            "duplicate-targets",
+            "tied-items",
+        ],
     )
     @pytest.mark.parametrize("margin_mode", ["saturating", "linear"])
     def test_attack_loss_and_gradient_match(
@@ -262,6 +314,11 @@ class TestVectorizedAttackerEquivalence:
             targets = np.sort(np.argsort(-scores, kind="stable")[:top_k])
         elif case == "duplicate-targets":
             targets = np.array([7, 3, 3, 1, 7])
+        elif case == "tied-items":
+            # Every odd item duplicates its even neighbour's row, so scores
+            # tie exactly and the top-K and boundary picks rest on tie-breaks.
+            twins = np.arange(1, num_items, 2)
+            item_factors[twins] = item_factors[twins - 1]
         user_before, item_before = user_factors.copy(), item_factors.copy()
         loss_loop, grad_loop = attack_loss_and_gradient(
             user_factors, item_factors, active, small_public, np.unique(targets),
@@ -273,8 +330,15 @@ class TestVectorizedAttackerEquivalence:
         )
         assert loss_vec == pytest.approx(loss_loop, rel=1e-9, abs=1e-12)
         np.testing.assert_allclose(grad_vec, grad_loop, atol=1e-12)
-        # The vectorized loss masks and negates its own score matrix in
-        # place; the factor matrices it was handed must come back untouched.
+        # The same boundary items: outside the targets, the gradient's
+        # non-zero rows are exactly the boundary items that get a push.
+        non_target = np.setdiff1d(np.arange(num_items), targets)
+        np.testing.assert_array_equal(
+            non_target[grad_vec[non_target].any(axis=1)],
+            non_target[grad_loop[non_target].any(axis=1)],
+        )
+        # The vectorized loss masks its own score matrix in place; the
+        # factor matrices it was handed must come back untouched.
         np.testing.assert_array_equal(user_factors, user_before)
         np.testing.assert_array_equal(item_factors, item_before)
 

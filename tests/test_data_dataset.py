@@ -19,6 +19,34 @@ class TestConstruction:
         dataset = InteractionDataset(2, 3, [(0, 1), (0, 1), (1, 2)])
         assert dataset.num_interactions == 2
 
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            None,
+            np.empty((0, 2), dtype=np.int64),
+            np.array([[6, 10], [0, 0], [6, 10], [6, 0], [0, 10]]),
+        ],
+        ids=["shuffled-duplicates", "empty", "largest-ids"],
+    )
+    def test_dedup_matches_unique_rows(self, pairs):
+        # The key-sort dedup must reproduce np.unique(axis=0) exactly: the
+        # same distinct pairs in the same lexicographic order, int64 and
+        # C-contiguous, with every user's items sliced out sorted.
+        num_users, num_items = 7, 11
+        if pairs is None:
+            gen = np.random.default_rng(3)
+            base = gen.integers(0, [num_users, num_items], size=(60, 2))
+            pairs = gen.permutation(np.concatenate([base, base[:25], base[::7]]))
+        dataset = InteractionDataset(num_users, num_items, pairs)
+        expected = np.unique(np.asarray(pairs, dtype=np.int64).reshape(-1, 2), axis=0)
+        assert dataset.pairs.dtype == np.int64
+        assert dataset.pairs.flags.c_contiguous
+        np.testing.assert_array_equal(dataset.pairs, expected)
+        for user in range(num_users):
+            np.testing.assert_array_equal(
+                dataset.positive_items(user), expected[expected[:, 0] == user, 1]
+            )
+
     def test_empty_interactions_allowed(self):
         dataset = InteractionDataset(3, 4, [])
         assert dataset.num_interactions == 0

@@ -135,6 +135,25 @@ class TestBatchedSpecifics:
                 rng, NUM_ITEMS, np.array([-1]), np.zeros((1, NUM_ITEMS), dtype=bool)
             )
 
+    def test_batched_cached_popcount_changes_nothing(self):
+        # A caller-supplied popcount only skips the mask reduction: the draw
+        # and the generator state afterwards are those of the default path.
+        masks = np.stack([_mask(h) for h in HISTORIES.values()])
+        counts = np.array([4, NUM_ITEMS, 10], dtype=np.int64)
+        popcount = np.array([h.shape[0] for h in HISTORIES.values()], dtype=np.int64)
+        plain, cached = np.random.default_rng(12), np.random.default_rng(12)
+        expected = sample_uniform_negatives_batched(plain, NUM_ITEMS, counts, masks)
+        result = sample_uniform_negatives_batched(
+            cached, NUM_ITEMS, counts, masks, num_positives=popcount
+        )
+        np.testing.assert_array_equal(result[0], expected[0])
+        np.testing.assert_array_equal(result[1], expected[1])
+        assert cached.bit_generator.state == plain.bit_generator.state
+        with pytest.raises(DataError):
+            sample_uniform_negatives_batched(
+                cached, NUM_ITEMS, counts, masks, num_positives=popcount[:2]
+            )
+
     def test_batched_masks_not_mutated(self):
         rng = np.random.default_rng(11)
         masks = np.stack([_mask(HISTORIES["sparse"])])
