@@ -1,4 +1,4 @@
-"""Benchmark: round-engine and sampler throughput across configurations.
+"""Benchmark: round-engine throughput across configurations.
 
 Three measurements, all on synthetic datasets with the exact shapes of the
 paper's evaluation datasets (Table II) and the protocol defaults (k = 32,
@@ -6,31 +6,26 @@ paper's evaluation datasets (Table II) and the protocol defaults (k = 32,
 
 * ``test_perf_engine`` — benign federated rounds at the MovieLens-100K,
   MovieLens-1M and Steam-200K shapes, measuring rounds/sec for three
-  configurations: the ``loop`` reference, the ``vectorized`` engine
-  (permutation sampler, bit-identical realizations to the reference), and
-  ``batched_fused`` (vectorized engine + batched sampler + cross-round
-  fusion — the sparse-dataset configuration).  Gates: vectorized ≥ 3x at the
+  configurations: the ``loop`` reference, the ``vectorized`` engine (the
+  reference's realization up to summation order), and ``batched_fused``
+  (vectorized engine + cross-round fusion — the sparse-dataset
+  configuration).  Every configuration draws each round's negatives in one
+  stacked pass from the round stream.  Gates: vectorized ≥ 3x at the
   ml-100k shape, batched_fused ≥ 3x at the steam-200k shape (whose sparse
   per-user activity makes plain vectorization the weakest, ~2x).
 * ``test_perf_attack_rounds`` — attack-enabled rounds (FedRecAttack with its
   user-matrix approximation refresh and poisoned-gradient construction every
-  round) at the ml-100k shape, for the same three configurations (fusion off:
-  the gate isolates the sampler's effect).  The attacker draws one stacked
-  batch of approximation negatives per epoch under every sampler, so the
-  ``batched`` variant changes only the clients' sampler.  Gates: vectorized
-  ≥ 3x the loop reference and batched strictly above the measured
-  vectorized throughput (the clients' per-user permutation draws are the
-  cost the batched sampler removes).
+  round) at the ml-100k shape, loop against vectorized (fusion off).  Gate:
+  vectorized ≥ 3x the loop reference.
 * ``test_perf_engine_smoke`` — a fast (seconds) loop-vs-vectorized gate at
   the ml-100k shape, run by CI on every push so speedup regressions fail the
   build without paying for the full sweep.
 
-``loop`` and ``vectorized`` consume identical per-client random streams, so
-that speedup is free of any accuracy trade-off (see
-``tests/test_federated_engine_equivalence.py``); ``batched_fused`` is an
-exact sampler with a different RNG contract plus delayed within-window
-gradients, re-validated qualitatively by the table/figure gates under
-``REPRO_BENCH_SAMPLER=batched``.
+``loop`` and ``vectorized`` consume identical random streams, so that
+speedup is free of any accuracy trade-off (see
+``tests/test_federated_engine_equivalence.py``); ``batched_fused`` adds
+delayed within-window gradients, re-validated qualitatively by the
+table/figure gates under ``REPRO_BENCH_FUSE_ROUNDS``.
 
 Results land in ``benchmarks/results/perf_engine.json`` / ``.txt`` and
 ``benchmarks/results/perf_attack.json`` / ``.txt``.
@@ -75,17 +70,12 @@ SHAPES: dict[str, tuple[int, int]] = {
 VARIANTS: dict[str, dict] = {
     "loop": {"engine": "loop"},
     "vectorized": {"engine": "vectorized"},
-    "batched_fused": {
-        "engine": "vectorized",
-        "sampler": "batched",
-        "fuse_rounds": FUSE_ROUNDS,
-    },
+    "batched_fused": {"engine": "vectorized", "fuse_rounds": FUSE_ROUNDS},
 }
 
 ATTACK_VARIANTS: dict[str, dict] = {
     "loop": {"engine": "loop"},
     "vectorized": {"engine": "vectorized"},
-    "batched": {"engine": "vectorized", "sampler": "batched"},
 }
 
 
@@ -209,7 +199,7 @@ def test_perf_engine(benchmark, save_result):
     )
     lines = [
         "Round-engine throughput (synthetic paper shapes, k=32, 256 clients/round)",
-        f"batched_fused = vectorized engine + batched sampler + fuse_rounds={FUSE_ROUNDS}",
+        f"batched_fused = vectorized engine + fuse_rounds={FUSE_ROUNDS}",
     ]
     for shape in payload["shapes"]:
         lines += [
@@ -229,7 +219,7 @@ def test_perf_engine(benchmark, save_result):
     )
     sparse = next(s for s in payload["shapes"] if s["dataset"] == SPARSE_GATE_SHAPE)
     assert sparse["batched_fused_speedup"] >= MIN_SPEEDUP, (
-        f"batched sampler + round fusion is only {sparse['batched_fused_speedup']:.2f}x "
+        f"round fusion is only {sparse['batched_fused_speedup']:.2f}x "
         f"faster than the loop engine at the {SPARSE_GATE_SHAPE} shape "
         f"(required: {MIN_SPEEDUP}x)"
     )
@@ -266,7 +256,7 @@ def test_perf_engine_smoke(benchmark):
         f"the loop engine in the smoke measurement (required: {SMOKE_MIN_SPEEDUP}x)"
     )
     assert payload["batched_fused_rounds_per_sec"] > payload["loop_rounds_per_sec"], (
-        "batched sampler + fusion must not be slower than the loop reference"
+        "round fusion must not be slower than the loop reference"
     )
 
 
@@ -317,12 +307,7 @@ def _measure_attack() -> dict:
 
 
 def test_perf_attack_rounds(benchmark, save_result):
-    """Attack-enabled rounds/sec: loop vs vectorized vs the clients' batched sampler.
-
-    The attacker's approximation draw is the same stacked stream in every
-    variant, so ``batched`` differs from ``vectorized`` only in how the
-    benign clients draw their training negatives.
-    """
+    """Attack-enabled rounds/sec: loop vs vectorized attacker pipeline."""
     payload = run_once(benchmark, _measure_attack)
 
     (RESULTS_DIR / "perf_attack.json").write_text(
@@ -338,8 +323,6 @@ def test_perf_attack_rounds(benchmark, save_result):
                 f"  loop attacker:       {payload['loop_rounds_per_sec']:8.2f} rounds/sec",
                 f"  vectorized attacker: {payload['vectorized_rounds_per_sec']:8.2f} rounds/sec"
                 f"  ({payload['vectorized_speedup']:.2f}x)",
-                f"  + batched clients:   {payload['batched_rounds_per_sec']:8.2f} rounds/sec"
-                f"  ({payload['batched_speedup']:.2f}x)",
             ]
         ),
     )
@@ -347,11 +330,6 @@ def test_perf_attack_rounds(benchmark, save_result):
     assert payload["vectorized_speedup"] >= MIN_SPEEDUP, (
         f"vectorized attacker pipeline is only {payload['vectorized_speedup']:.2f}x faster "
         f"than the loop attacker (required: {MIN_SPEEDUP}x)"
-    )
-    assert payload["batched_speedup"] > payload["vectorized_speedup"], (
-        "the clients' batched sampler must push attack-enabled rounds beyond "
-        "the permutation-sampler vectorized pipeline "
-        f"({payload['batched_speedup']:.2f}x vs {payload['vectorized_speedup']:.2f}x)"
     )
 
 

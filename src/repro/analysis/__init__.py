@@ -2,7 +2,7 @@
 
 Five PRs of engine work rest on contracts that ordinary linters cannot see:
 every stochastic call site must route through :mod:`repro.rng`, every
-``engine`` / ``sampler`` / ``eval_engine`` / ``eval_sampler`` realization
+``engine`` / ``eval_engine`` / ``eval_path`` / ``degradation`` realization
 must have a dispatch branch *and* an equivalence-suite parametrization *and*
 a golden seed-history case, store-backed masks must never be densified
 outside the store itself, and the equivalence/golden suites must assert

@@ -333,7 +333,7 @@ def _int_literals(node: ast.expr, constants: dict[str, tuple[int, ...]]) -> list
 def _names_match(identifier: str, field_name: str) -> bool:
     """Whether a local/attribute name plausibly refers to a switch field.
 
-    ``_sampler`` and ``sampler`` match ``sampler``; a bare ``engine`` local
+    ``_eval_path`` and ``eval_path`` match ``eval_path``; a bare ``engine`` local
     (e.g. an ``engine=`` parameter of the evaluation entry point) also
     matches ``eval_engine`` — dispatch evidence is deliberately a little
     generous, coverage requirements are not.

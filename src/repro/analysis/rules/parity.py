@@ -3,7 +3,7 @@
 ``FederatedConfig`` validates its engine switches against literal tuples::
 
     if self.engine not in ("loop", "vectorized"): ...
-    if self.sampler not in ("permutation", "batched"): ...
+    if self.eval_path not in ("block", "candidates"): ...
 
 Each of those literal realizations is a *contract surface*: it needs a
 dispatch branch somewhere in the library, an equivalence-suite
@@ -16,7 +16,7 @@ a red build, not a latent gap.
 Checked per realization of every switch field:
 
 1. **dispatch** — the literal is compared against a matching name
-   (``config.engine``, ``self._sampler``, an ``engine=`` parameter, ...)
+   (``config.engine``, ``self._eval_path``, an ``engine=`` parameter, ...)
    somewhere under ``src/`` outside the config modules themselves,
 2. **equivalence** — the literal appears in the field's registered
    equivalence suite(s) (:data:`EQUIVALENCE_SUITES`; a new switch field
@@ -60,12 +60,7 @@ __all__ = ["SwitchParityRule", "EQUIVALENCE_SUITES", "INT_SWITCHES"]
 #: equivalent is part of adding the switch.
 EQUIVALENCE_SUITES: dict[str, tuple[str, ...]] = {
     "engine": ("tests/test_federated_engine_equivalence.py",),
-    "sampler": (
-        "tests/test_federated_engine_equivalence.py",
-        "tests/test_negative_sampling_stats.py",
-    ),
     "eval_engine": ("tests/test_eval_engine_equivalence.py",),
-    "eval_sampler": ("tests/test_eval_engine_equivalence.py",),
     "eval_path": ("tests/test_eval_path_equivalence.py",),
     "workers": ("tests/test_sharded_engine_equivalence.py",),
     "straggler_policy": ("tests/test_federation_dynamics.py",),

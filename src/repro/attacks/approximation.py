@@ -31,9 +31,8 @@ stacked rejection-sampling pass
 (:func:`repro.data.negative_sampling.sample_uniform_negatives_batched`, active
 users in row order, public positives as the masks) from the attack RNG.  Both
 engines consume that one draw, so from identical seeds they produce matching
-approximations up to floating-point summation order.  The simulation's
-``sampler`` switch does not reach the attacker: it governs only the clients'
-training draws.
+approximations up to floating-point summation order.  The clients' training
+draws come from the simulation's own round stream, never the attack RNG.
 """
 
 from __future__ import annotations

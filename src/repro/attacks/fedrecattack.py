@@ -21,10 +21,9 @@ path of :class:`UserMatrixApproximator`) and the stacked-numpy pipeline
 consume identical attack-RNG streams and are equivalence-tested, so the
 engine choice changes wall-clock time only.
 
-The attack RNG stream is the same under every ``sampler`` setting: each
-approximation epoch draws all active users' negatives in one stacked
-rejection-sampling pass, and ``FederatedConfig.sampler`` governs only the
-clients' training draws.
+Each approximation epoch draws all active users' negatives from the attack
+RNG stream in one stacked rejection-sampling pass; the clients' training
+draws come from the simulation's own round stream.
 """
 
 from __future__ import annotations

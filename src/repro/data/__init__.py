@@ -10,8 +10,8 @@ side:
 * loaders for the real dataset files when they are available,
 * leave-one-out train/test splitting as used in the paper,
 * public-interaction sampling (the attacker's prior knowledge, ratio ``xi``),
-* negative sampling for BPR training (the per-user permutation engine and
-  the stacked batched rejection sampler),
+* negative sampling (the stacked rejection samplers behind training rounds
+  and sampled evaluation, plus a one-user permutation draw),
 * dataset statistics reproducing Table II.
 """
 

@@ -1,34 +1,29 @@
-"""Negative sampling for BPR training.
+"""Negative sampling for BPR training and sampled ranking evaluation.
 
 Each user client samples a set of negative items ``V-_i'`` of the same size
-as its positive set and trains on the paired loss of Eq. (4).  Two sampling
-engines implement that draw (selected by ``FederatedConfig.sampler``):
+as its positive set and trains on the paired loss of Eq. (4).  Federated
+training draws those negatives in one place:
 
-* :func:`sample_uniform_negatives` — the ``"permutation"`` engine.  One user
-  at a time, a random permutation of the catalog is filtered through the
-  user's positive mask and truncated: an exact uniform draw without
-  replacement, consumed from a *per-user* RNG stream.  This is the historical
-  engine and the default; its realizations are frozen by the engine
-  equivalence contract.
-* :func:`sample_uniform_negatives_batched` — the ``"batched"`` engine.  One
-  stacked rejection-sampling pass draws negatives for *many* users at once
-  from a *single shared* RNG stream: oversampled uniform candidates, masked
-  against the stacked positive masks, deduplicated in draw order, and
-  resampled until every user has its quota.  Accepting candidates in draw
-  order (skipping rejects and duplicates) is classic rejection sampling, so
-  each user's accepted set is still an exact uniform draw without
-  replacement from the complement of its positives — only the random
-  *stream* (and therefore every training realization) differs from the
-  permutation engine.
+* :func:`sample_uniform_negatives_batched` — one stacked rejection-sampling
+  pass draws negatives for *many* users at once from a *single shared* RNG
+  stream: oversampled uniform candidates, masked against the stacked
+  positive masks, deduplicated in draw order, and resampled until every
+  user has its quota.  Accepting candidates in draw order (skipping rejects
+  and duplicates) is classic rejection sampling, so each user's accepted
+  set is an exact uniform draw without replacement from the complement of
+  its positives.  The round engine draws every round's negatives through it
+  from the simulation's ``"round-sampler"`` stream, and the attacker's
+  user-matrix approximation draws each epoch through it too.
 
-Both engines are exact; see ``docs/architecture.md`` for the two RNG
-contracts and which simulation streams feed them.
+:func:`sample_uniform_negatives` is the one-user draw (a filtered catalog
+permutation, also exact) kept for the malicious clients' honest training on
+fake profiles and for :class:`NegativeSampler`.  See
+``docs/architecture.md`` for the RNG contracts.
 
 A third stacked draw, :func:`sample_ranking_negatives_batched`, serves the
-*evaluation* side: the sampled ranking protocol's ``"batched"`` stream
-(``FederatedConfig.eval_sampler``) draws one score-block's ranking negatives
-with replacement in a single rejection-sampling pass, optionally excluding
-each row's held-out test item.
+*evaluation* side: the sampled ranking protocol draws one score-block's
+ranking negatives with replacement in a single rejection-sampling pass,
+excluding each row's held-out test item.
 """
 
 from __future__ import annotations
@@ -47,7 +42,7 @@ __all__ = [
     "SAMPLER_ENGINES",
 ]
 
-#: The valid values of every ``sampler`` switch in the package.
+#: The valid values of :class:`NegativeSampler`'s ``sampler`` argument.
 SAMPLER_ENGINES = ("permutation", "batched")
 
 
@@ -56,24 +51,24 @@ def sample_uniform_negatives(
     num_items: int,
     count: int,
     positive_mask: np.ndarray,
-    num_positives: int | None = None,
 ) -> np.ndarray:
     """Draw ``count`` distinct uniform negatives outside ``positive_mask``.
 
     Fully vectorised and exact: a random permutation of the catalog is
     filtered through the boolean mask and truncated, which is an unbiased
     uniform draw without replacement from the complement of the positives —
-    no rejection loop, no Python-level per-item work.  ``num_positives`` (the
-    mask's popcount) can be passed by callers that cache it.
+    no rejection loop, no Python-level per-item work.
+
+    The result owns its memory: a slice of the filtered permutation would
+    keep the whole catalog-sized permutation alive for as long as the
+    caller holds the negatives.
     """
-    if num_positives is None:
-        num_positives = int(positive_mask.sum())
-    count = min(count, num_items - num_positives)
+    count = min(count, num_items - int(positive_mask.sum()))
     if count <= 0:
         return np.empty(0, dtype=np.int64)
     permutation = rng.permutation(num_items)
     negatives = permutation[~positive_mask[permutation]]
-    return negatives[:count]
+    return negatives[:count].copy()
 
 
 def sample_uniform_negatives_batched(
@@ -90,7 +85,7 @@ def sample_uniform_negatives_batched(
     Parameters
     ----------
     rng:
-        The shared stream the whole batch consumes (the batched sampler's RNG
+        The shared stream the whole batch consumes (the stacked sampler's RNG
         contract: one stream per draw site, not one per user).
     num_items:
         Catalog size ``N``.
@@ -199,13 +194,11 @@ def sample_ranking_negatives_batched(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw ranking negatives for ``B`` users in one stacked pass.
 
-    This is the stacked core of the ``"batched"`` *evaluation* stream: unlike
+    This is the stacked core of the *evaluation* stream: unlike
     the training draw of :func:`sample_uniform_negatives_batched` it samples
     **with replacement** (the sampled ranking protocol accepts repeated
-    negatives, exactly like the per-user
-    :func:`repro.metrics.accuracy.draw_ranking_negatives`), and each row may
-    exclude one extra item — the row's held-out test item — on top of its
-    positives.
+    negatives), and each row may exclude one extra item — the row's
+    held-out test item — on top of its positives.
 
     Parameters
     ----------
@@ -217,9 +210,8 @@ def sample_ranking_negatives_batched(
     counts:
         Requested negatives per row, shape ``(B,)``.  A row whose positives
         plus excluded item cover the whole catalog receives **zero**
-        negatives (mirroring the per-user draw, which gives up after one
-        empty rejection round); because the draw is with replacement, every
-        other row receives exactly its requested count.
+        negatives; because the draw is with replacement, every other row
+        receives exactly its requested count.
     positive_masks:
         Stacked boolean positive masks, shape ``(B, N)``.  Never mutated —
         read-only views (e.g. contiguous

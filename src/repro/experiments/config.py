@@ -56,9 +56,7 @@ class ExperimentConfig:
     aggregator: str = "sum"
     aggregator_options: dict[str, Any] = field(default_factory=dict)
     engine: str = "vectorized"
-    sampler: str = "permutation"
     eval_engine: str = "vectorized"
-    eval_sampler: str = "per-user"
     eval_path: str = "block"
     fuse_rounds: int = 1
     workers: int = 1
@@ -133,11 +131,9 @@ class ExperimentProfile:
     ``dataset_aliases`` optionally replaces a dataset by a calibrated
     miniature preset (used by the benchmark profile), ``dataset_scales`` maps
     each dataset to a uniform down-scaling factor, and the remaining fields
-    override the heavyweight training hyper-parameters.  ``sampler`` and
-    ``fuse_rounds``, when set, override the negative-sampling engine and the
-    cross-round fusion window of every run regenerated at this profile — this
-    is how the qualitative table/figure gates are re-validated under the
-    ``"batched"`` sampler (see ``REPRO_BENCH_SAMPLER`` below).
+    override the heavyweight training hyper-parameters.  ``fuse_rounds``,
+    when set, overrides the cross-round fusion window of every run
+    regenerated at this profile (see ``REPRO_BENCH_FUSE_ROUNDS`` below).
     """
 
     name: str
@@ -149,7 +145,6 @@ class ExperimentProfile:
     dataset_scales: dict[str, float] = field(default_factory=dict)
     dataset_aliases: dict[str, str] = field(default_factory=dict)
     seed: int = 0
-    sampler: str | None = None
     fuse_rounds: int | None = None
 
     def scale_for(self, dataset: str) -> float:
@@ -172,8 +167,6 @@ class ExperimentProfile:
             learning_rate=self.learning_rate,
             seed=self.seed,
         )
-        if self.sampler is not None:
-            overrides["sampler"] = self.sampler
         if self.fuse_rounds is not None:
             overrides["fuse_rounds"] = self.fuse_rounds
         return config.with_overrides(**overrides)
@@ -194,12 +187,11 @@ PAPER_PROFILE = ExperimentProfile(
 #: optimisation horizon eta * epochs is reached in far fewer rounds) and
 #: smaller client batches.
 #:
-#: ``REPRO_BENCH_SAMPLER`` / ``REPRO_BENCH_FUSE_ROUNDS`` switch the sampler
-#: engine and fusion window of the whole benchmark suite without touching the
-#: tests — e.g. ``REPRO_BENCH_SAMPLER=batched pytest benchmarks/`` re-validates
-#: every qualitative table/figure gate under the batched sampler's
-#: realizations.  Unset, the profile pins nothing and runs keep the
-#: ``ExperimentConfig`` defaults (permutation, no fusion).
+#: ``REPRO_BENCH_FUSE_ROUNDS`` switches the fusion window of the whole
+#: benchmark suite without touching the tests — e.g.
+#: ``REPRO_BENCH_FUSE_ROUNDS=4 pytest benchmarks/`` re-validates every
+#: qualitative table/figure gate under fused rounds.  Unset, the profile pins
+#: nothing and runs keep the ``ExperimentConfig`` default (no fusion).
 def _bench_fuse_rounds_from_env() -> int | None:
     """Parse ``REPRO_BENCH_FUSE_ROUNDS``, failing with a clear error.
 
@@ -230,6 +222,5 @@ BENCH_PROFILE = ExperimentProfile(
         "ml-1m": "ml-1m-mini",
         "steam-200k": "steam-200k-mini",
     },
-    sampler=os.environ.get("REPRO_BENCH_SAMPLER") or None,
     fuse_rounds=_bench_fuse_rounds_from_env(),
 )

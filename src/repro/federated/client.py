@@ -15,7 +15,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.data.negative_sampling import sample_uniform_negatives
+from repro.data.negative_sampling import (
+    sample_uniform_negatives,
+    sample_uniform_negatives_batched,
+)
 from repro.exceptions import FederationError
 from repro.federated.updates import ClientUpdate
 from repro.models.losses import bpr_loss_and_gradients, sigmoid
@@ -152,23 +155,11 @@ class Client:
             self.user_vector, self.num_factors, positives, negatives, item_factors, scorer
         )
 
-    def _sample_negatives(
-        self, positives: np.ndarray, count: int, positive_mask: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Uniform negatives drawn from the items not in ``positives``.
-
-        Vectorised mask-based draw; callers with a fixed positive set can pass
-        a precomputed ``positive_mask`` to skip rebuilding it every round.
-        """
-        if positive_mask is None:
-            positive_mask = np.zeros(self.num_items, dtype=bool)
-            positive_mask[positives] = True
-            num_positives = None
-        else:
-            num_positives = positives.shape[0]
-        return sample_uniform_negatives(
-            self._rng, self.num_items, count, positive_mask, num_positives
-        )
+    def _sample_negatives(self, positives: np.ndarray, count: int) -> np.ndarray:
+        """Uniform negatives drawn from the items not in ``positives``."""
+        positive_mask = np.zeros(self.num_items, dtype=bool)
+        positive_mask[positives] = True
+        return sample_uniform_negatives(self._rng, self.num_items, count, positive_mask)
 
 
 class BenignClient(Client):
@@ -205,9 +196,9 @@ class BenignClient(Client):
                     f"got {positive_mask.shape}"
                 )
             self._positive_mask = positive_mask
-        self._negatives = self._sample_negatives(
-            self.positives, self.positives.shape[0], self._positive_mask
-        )
+        # No draw here: ``needs_fresh_negatives`` holds until the first
+        # round installs a sample, so the client's stream is left untouched.
+        self._negatives = np.empty(0, dtype=np.int64)
 
     @property
     def positive_mask(self) -> np.ndarray:
@@ -226,26 +217,28 @@ class BenignClient(Client):
     def draw_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """The round's aligned (positives, negatives) training pairs.
 
-        Both the per-client and the vectorized round engine call this under
-        the ``"permutation"`` sampler, so the two engines consume identical
-        per-client random streams and train on identical pairs.  Under the
-        ``"batched"`` sampler the round engine draws every client's negatives
-        from the shared round stream instead and hands them to
-        :meth:`accept_negatives`.
+        The round engines never draw through here: they draw every selected
+        client's negatives in one stacked pass from the shared round stream
+        and hand each client its slice through :meth:`accept_negatives`.
+        Standalone use draws a fresh sample when one is needed through the
+        same stacked sampler, as a batch of one on the client's own stream.
         """
         if self.needs_fresh_negatives:
-            self._negatives = self._sample_negatives(
-                self.positives, self.positives.shape[0], self._positive_mask
+            negatives, _ = sample_uniform_negatives_batched(
+                self._rng,
+                self.num_items,
+                np.array([self.positives.shape[0]], dtype=np.int64),
+                self._positive_mask[None, :],
             )
+            self._negatives = negatives
         return self._current_pairs()
 
     def accept_negatives(self, negatives: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Install externally drawn negatives and return the round's pairs.
 
-        This is the batched-sampler entry point: the round engine draws the
-        negatives of all selected clients in one stacked pass and each client
-        keeps its slice (so ``resample_negatives=False`` still reuses it on
-        later rounds).
+        The round engine draws the negatives of all selected clients in one
+        stacked pass and each client keeps its slice (so
+        ``resample_negatives=False`` still reuses it on later rounds).
         """
         self._negatives = np.asarray(negatives, dtype=np.int64)
         return self._current_pairs()
@@ -263,8 +256,8 @@ class BenignClient(Client):
     ) -> ClientUpdate:
         """One local training round: compute gradients, update ``u_i`` locally.
 
-        ``pairs`` lets the loop engine inject pairs drawn by the batched
-        round sampler; ``None`` draws through the client's own stream.
+        ``pairs`` lets the loop engine inject the pairs it predrew from the
+        round stream; ``None`` falls back to :meth:`draw_pairs`.
         """
         positives, negatives = self.draw_pairs() if pairs is None else pairs
         return self._train_on_profile(positives, negatives, item_factors, scorer)

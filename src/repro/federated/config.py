@@ -58,22 +58,9 @@ class FederatedConfig:
         Which round engine the simulation uses: ``"vectorized"`` (default)
         trains every selected benign client of a round in stacked numpy
         operations, ``"loop"`` keeps the original one-client-at-a-time
-        reference implementation.  Both consume identical per-client random
-        streams, so they produce matching results up to floating-point
+        reference implementation.  Both train on the same stacked per-round
+        negative draw, so they produce matching results up to floating-point
         summation order.
-    sampler:
-        Which negative-sampling engine clients draw their training pairs
-        from (the attacker's user-matrix approximation has its own stacked
-        draw and ignores this switch).  ``"permutation"`` (default)
-        keeps the historical per-user permutation draws and their per-client
-        RNG streams — training realizations are bit-identical to earlier
-        releases.  ``"batched"`` draws a whole round's negatives in one
-        stacked rejection-sampling pass from a shared round-level stream;
-        still an exact uniform draw, but a *different* realization (the
-        qualitative result gates are validated under both).  Either engine
-        works with either sampler: the loop engine under the batched sampler
-        consumes the same round-level stream, so loop/vectorized equivalence
-        holds per sampler.
     eval_engine:
         Which evaluation engine computes the HR/NDCG/ER metrics at each
         evaluation epoch: ``"vectorized"`` (default) scores user blocks as
@@ -84,18 +71,6 @@ class FederatedConfig:
         identically, so full-rank metrics are bit-identical and
         sampled-protocol metrics match under the same seed — this switch
         trades nothing but time.
-    eval_sampler:
-        Which RNG stream the sampled ranking protocol draws its negatives
-        from.  ``"per-user"`` (default) keeps the historical one-user-at-a-
-        time draws — evaluation histories are bit-identical to earlier
-        releases.  ``"batched"`` draws a whole score-block's negatives in
-        one stacked rejection-sampling pass against the shared
-        :class:`~repro.data.store.InteractionStore` mask rows; still an
-        exact draw from the same distribution, but a *different* realization
-        (like the training ``sampler`` switch).  Either evaluation engine
-        works with either stream — for a fixed stream the engines report
-        identical metrics per seed.  Irrelevant under the full-ranking
-        protocol.
     eval_path:
         Which arithmetic route the sampled ranking protocol scores its
         candidates through.  ``"block"`` (default) computes the full
@@ -121,8 +96,7 @@ class FederatedConfig:
         at a time, so aggregation semantics, DP clipping and attack
         injection are unchanged — only the benign gradients inside a window
         are computed against an up-to-``F - 1``-rounds-stale ``V`` (a
-        delayed-gradient trade-off that changes the realization, like the
-        sampler switch).  Requires the vectorized engine and plain MF.
+        delayed-gradient trade-off that changes the realization).  Requires the vectorized engine and plain MF.
     workers:
         Number of worker processes sharding each round's benign local
         training.  ``1`` (default) keeps everything in-process.  ``W > 1``
@@ -132,7 +106,7 @@ class FederatedConfig:
         deterministically in shard order *before* DP clipping, attack
         injection and aggregation.  All randomness is predrawn in the parent
         and shipped to the shards, so per-round histories are bit-identical
-        to ``workers=1`` for every engine/sampler realization — this switch
+        to ``workers=1`` for every engine realization — this switch
         trades nothing but wall clock.  The vectorized engine with the MLP
         scorer has no sharded implementation (use the loop engine there).
     worker_timeout:
@@ -210,9 +184,7 @@ class FederatedConfig:
     use_learnable_scorer: bool = False
     scorer_hidden_units: int = 32
     engine: str = "vectorized"
-    sampler: str = "permutation"
     eval_engine: str = "vectorized"
-    eval_sampler: str = "per-user"
     eval_path: str = "block"
     fuse_rounds: int = 1
     workers: int = 1

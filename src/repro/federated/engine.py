@@ -5,11 +5,9 @@ for *all* selected benign clients with stacked numpy operations instead of a
 per-client Python loop:
 
 * every client's (positives, negatives) pairs for the round are drawn through
-  :meth:`draw_round_pairs` — under the ``"permutation"`` sampler via the same
-  per-client :meth:`BenignClient.draw_pairs` the loop engine uses, under the
-  ``"batched"`` sampler via one stacked rejection-sampling pass over all
+  :meth:`draw_round_pairs` — one stacked rejection-sampling pass over all
   selected clients from the shared round stream (both engines call this
-  method, so loop/vectorized equivalence holds under either sampler),
+  method, so loop/vectorized equivalence holds by construction),
 * the user vectors are stacked into a ``(B, k)`` matrix, the positive and
   negative item vectors are gathered once, and the BPR margins, coefficients,
   per-user losses and all gradients are computed in bulk
@@ -80,12 +78,11 @@ class BatchedRoundTrainer:
         The benign client registry, the protocol configuration, the DP
         mechanism and the catalog size.
     round_rng:
-        The shared round-sampler stream consumed by the ``"batched"``
-        sampler (one stacked draw per round, in client selection order).
-        Required when ``config.sampler == "batched"``.
+        The shared round-sampler stream every round's negatives are drawn
+        from (one stacked draw per round, in client selection order).
     store:
         The dataset's shared :class:`~repro.data.store.InteractionStore`.
-        When given, the batched sampler gathers its stacked positive masks
+        When given, the round sampler gathers its stacked positive masks
         straight out of the store's cached mask matrix (one fancy-index
         gather it may scribble on) instead of re-stacking per-client mask
         arrays every round.  Client ids must equal dataset user ids, which
@@ -105,12 +102,10 @@ class BatchedRoundTrainer:
         config: FederatedConfig,
         privacy: GaussianNoiseMechanism,
         num_items: int,
-        round_rng: np.random.Generator | None = None,
+        round_rng: np.random.Generator,
         store: InteractionStore | None = None,
         executor: ShardedRoundExecutor | None = None,
     ) -> None:
-        if config.sampler == "batched" and round_rng is None:
-            raise FederationError("the batched sampler requires a round_rng stream")
         self._clients = clients
         self._config = config
         self._privacy = privacy
@@ -125,18 +120,13 @@ class BatchedRoundTrainer:
     def draw_round_pairs(self, benign_ids: list[int]) -> list[Pairs]:
         """The round's (positives, negatives) pairs, aligned with ``benign_ids``.
 
-        ``"permutation"`` sampler: one :meth:`BenignClient.draw_pairs` call
-        per client, consuming the per-client streams.  ``"batched"`` sampler:
-        one stacked rejection-sampling draw from the round stream covering
+        One stacked rejection-sampling draw from the round stream covers
         every selected client that needs fresh negatives (clients with a
         still-valid cached sample, e.g. under
         ``resample_negatives_each_epoch=False``, keep it).  Both engines call
-        this method, so the realization depends only on the sampler, not on
-        the engine.
+        this method, so the realization never depends on the engine.
         """
         clients = [self._clients[cid] for cid in benign_ids]
-        if self._config.sampler != "batched":
-            return [client.draw_pairs() for client in clients]
         pairs: list[Pairs | None] = [None] * len(clients)
         fresh = [i for i, client in enumerate(clients) if client.needs_fresh_negatives]
         if fresh:
@@ -164,6 +154,7 @@ class BatchedRoundTrainer:
                 )
         for i, client in enumerate(clients):
             if pairs[i] is None:
+                # Still-valid cached sample: no draw.
                 pairs[i] = client.draw_pairs()
         return pairs  # type: ignore[return-value]
 
@@ -275,7 +266,7 @@ class BatchedRoundTrainer:
         aggregation are consumed round by round exactly as without fusion.
 
         Pair drawing stays per-round (in round order), so the sampling
-        streams are identical to the unfused schedule under either sampler;
+        stream is identical to the unfused schedule;
         the only semantic difference of fusion is that rounds after the first
         train against a stale ``V``.  The client sets of the fused rounds
         must be disjoint (an epoch schedule guarantees this); overlapping

@@ -4,7 +4,7 @@ With ``FederatedConfig.workers = W > 1`` each round's sampled benign clients
 are partitioned into ``W`` contiguous shards and trained in a
 ``concurrent.futures.ProcessPoolExecutor`` pool.  The design is built around
 one hard requirement: per-round histories must stay **bit-identical** to the
-single-process engines for every engine/sampler realization.  Three contracts
+single-process engines for every engine realization.  Three contracts
 make that hold:
 
 * **Predrawn randomness.**  Workers never touch an RNG.  All of a round's

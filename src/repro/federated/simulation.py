@@ -16,9 +16,8 @@ Two round engines are available, selected by ``FederatedConfig.engine``:
   :class:`~repro.federated.updates.SparseRoundUpdates` structure.
 * ``"loop"`` — the original one-client-at-a-time reference implementation.
 
-Both engines draw each client's training pairs through the same sampler
-streams (per-client streams under ``sampler="permutation"``, one shared
-round-level stream under ``sampler="batched"``), so from identical seeds they
+Both engines draw each round's training pairs through the same stacked
+draw from one shared round-level stream, so from identical seeds they
 produce matching training histories up to floating-point summation order.
 Attack scheduling and the round counter are driven by the server's
 ``rounds_applied``, which counts every protocol round (empty ones included).
@@ -186,13 +185,12 @@ class FederatedSimulation:
         self._seeds = seed if isinstance(seed, SeedSequenceFactory) else SeedSequenceFactory(seed)
         self._schedule_rng = self._seeds.generator("schedule")
         self._eval_rng = self._seeds.generator("evaluation")
-        # The shared stream of the "batched" sampler.  Derived by name, so
-        # creating it never perturbs any other stream — permutation-sampler
-        # runs stay bit-identical to releases that predate it.
+        # The shared stream every round's negatives are drawn from.  Derived
+        # by name, so creating it never perturbs any other stream.
         self._round_sampler_rng = self._seeds.generator("round-sampler")
 
-        # One InteractionStore per dataset, shared by the batched round
-        # sampler, the clients' positive masks and the evaluation engine.
+        # One InteractionStore per dataset, shared by the round sampler, the
+        # clients' positive masks and the evaluation engine.
         self._store = train.interaction_store()
         self.server = Server(train.num_items, config, rng=self._seeds.generator("server"))
         self.privacy = GaussianNoiseMechanism(
@@ -575,14 +573,12 @@ class FederatedSimulation:
     ) -> float:
         """Reference round engine: one client at a time (kept for equivalence).
 
-        Under the ``"batched"`` sampler the round's negatives are predrawn
-        through the same shared round stream the vectorized engine consumes
-        (one stacked draw, clients in selection order), so the loop engine
-        remains the equivalence oracle for either sampler.
+        The round's negatives are predrawn through the same shared round
+        stream the vectorized engine consumes (one stacked draw, clients in
+        selection order), so the loop engine remains the equivalence oracle.
 
-        With ``workers > 1`` the pairs are *always* predrawn (through the
-        exact per-client or round streams the in-process loop consumes) and
-        the per-client reference training runs in contiguous client shards
+        With ``workers > 1`` the per-client reference training on those
+        predrawn pairs runs in contiguous client shards
         on the worker pool; the parent then applies each client's local step
         and walks the batch in its original order, so privacy-noise draws,
         attack injection and aggregation are untouched and the histories are
@@ -595,12 +591,8 @@ class FederatedSimulation:
         whose shard was dropped under quorum degradation is skipped entirely
         (its training never completed).
         """
-        predrawn: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        benign_ids: list[int] = []
-        if self.config.sampler == "batched" or self._shard_executor is not None:
-            benign_ids = [int(cid) for cid in batch if int(cid) in self.benign_clients]
-            pairs = self._trainer.draw_round_pairs(benign_ids)
-            predrawn = dict(zip(benign_ids, pairs))
+        benign_ids = [int(cid) for cid in batch if int(cid) in self.benign_clients]
+        predrawn = dict(zip(benign_ids, self._trainer.draw_round_pairs(benign_ids)))
         sharded: dict[int, tuple[ClientUpdate, np.ndarray]] = {}
         if self._shard_executor is not None:
             sharded = self._loop_shard_results(benign_ids, predrawn)
@@ -624,7 +616,7 @@ class FederatedSimulation:
                     update = self.benign_clients[cid].local_train(
                         self.server.item_factors,
                         self.server.scorer,
-                        pairs=predrawn.get(cid),
+                        pairs=predrawn[cid],
                     )
                 round_loss += update.loss
                 update = self.privacy.apply(update)
@@ -647,10 +639,7 @@ class FederatedSimulation:
         if self.update_observer is not None:
             self.update_observer(round_index, updates)
         self.server.apply_round(updates)
-        self._record_applied_round(
-            [int(cid) for cid in batch if int(cid) in self.benign_clients],
-            len(updates) > 0,
-        )
+        self._record_applied_round(benign_ids, len(updates) > 0)
         return round_loss
 
     def _loop_shard_results(
@@ -938,10 +927,8 @@ class FederatedSimulation:
 
         Both engines score through :meth:`score_block_function` over the same
         block partitioning and draw sampled-protocol negatives through the
-        stream selected by ``config.eval_sampler`` (``"per-user"`` preserves
-        historical seed histories; ``"batched"`` is a faster, different
-        realization), so switching the *engine* changes the wall clock, not
-        the history — only the sampler changes realizations.  Likewise the
+        same stacked per-block draws, so switching the *engine* changes the
+        wall clock, not the history.  Likewise the
         ``config.eval_path`` switch only reroutes the sampled protocol's
         arithmetic (candidate gather vs full block product) — the draws and
         comparisons are shared, so the realization is path-invariant.
@@ -984,7 +971,6 @@ class FederatedSimulation:
             num_negatives=self.eval_num_negatives,
             rng=self._eval_rng,
             engine=self.config.eval_engine,
-            eval_sampler=self.config.eval_sampler,
             eval_path=self.config.eval_path,
         )
         return result.accuracy, result.exposure

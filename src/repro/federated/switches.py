@@ -140,28 +140,11 @@ SWITCH_REGISTRY: tuple[SwitchSpec, ...] = (
         help="round engine: 'vectorized' (default) or 'loop'",
     ),
     SwitchSpec(
-        name="sampler",
-        kind="choice",
-        default="permutation",
-        choices=("permutation", "batched"),
-        help="negative-sampling engine: 'permutation' (default) or 'batched'",
-    ),
-    SwitchSpec(
         name="eval_engine",
         kind="choice",
         default="vectorized",
         choices=("loop", "vectorized"),
         help="evaluation engine: 'vectorized' (default) or 'loop'",
-    ),
-    SwitchSpec(
-        name="eval_sampler",
-        kind="choice",
-        default="per-user",
-        choices=("per-user", "batched"),
-        help=(
-            "sampled-protocol negative stream: 'per-user' (default, "
-            "historical seed histories) or 'batched' (stacked per-block draw)"
-        ),
     ),
     SwitchSpec(
         name="eval_path",

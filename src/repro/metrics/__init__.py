@@ -9,7 +9,6 @@ utilities.
 
 from repro.metrics.accuracy import (
     AccuracyReport,
-    draw_ranking_negatives,
     draw_ranking_negatives_batched,
     hit_ratio_at_k,
     ndcg_at_k_leave_one_out,
@@ -19,7 +18,6 @@ from repro.metrics.evaluation import (
     DEFAULT_BLOCK_SIZE,
     EVAL_ENGINES,
     EVAL_PATHS,
-    EVAL_SAMPLERS,
     EvaluationResult,
     evaluate_snapshot,
     resolve_score_block,
@@ -41,7 +39,6 @@ __all__ = [
     "EvaluationResult",
     "EVAL_ENGINES",
     "EVAL_PATHS",
-    "EVAL_SAMPLERS",
     "DEFAULT_BLOCK_SIZE",
     "TopKCache",
     "evaluate_snapshot",
@@ -54,7 +51,6 @@ __all__ = [
     "hit_ratio_at_k",
     "ndcg_at_k_leave_one_out",
     "evaluate_accuracy",
-    "draw_ranking_negatives",
     "draw_ranking_negatives_batched",
     "rank_of_items",
     "top_k_items",

@@ -10,12 +10,9 @@ This module is the *loop* evaluation engine: one user at a time through a
 ``score_fn(user)`` callback.  It is kept as the equivalence oracle for the
 vectorized engine in :mod:`repro.metrics.evaluation`, which must reproduce
 its full-rank metrics bit-identically and its sampled-protocol metrics under
-the identical RNG stream.  Two evaluation streams exist (selected by
-``eval_sampler``): the historical per-user stream of
-:func:`draw_ranking_negatives`, and the ``"batched"`` stream of
-:func:`draw_ranking_negatives_batched`, which draws one score-block's
-negatives in a single stacked pass; both engines consume whichever stream is
-selected identically.
+the identical RNG stream.  The sampled protocol's negatives come from one
+stream: :func:`draw_ranking_negatives_batched` draws a score block's
+negatives in a single stacked pass, and the per-user loop only ranks them.
 """
 
 from __future__ import annotations
@@ -36,7 +33,6 @@ __all__ = [
     "hit_ratio_at_k",
     "ndcg_at_k_leave_one_out",
     "evaluate_accuracy",
-    "draw_ranking_negatives",
     "draw_ranking_negatives_batched",
 ]
 
@@ -96,9 +92,11 @@ def evaluate_accuracy(
     ``predrawn_negatives`` optionally supplies the sampled protocol's
     negatives as a ``(values, offsets)`` CSR pair indexed by user id (user
     ``u``'s candidates are ``values[offsets[u]:offsets[u + 1]]``) instead of
-    drawing them here — the mechanism through which the loop engine consumes
-    the ``"batched"`` evaluation stream: the caller predraws every block via
-    :func:`draw_ranking_negatives_batched` and the per-user pass only ranks.
+    drawing them here — the mechanism through which the loop engine of
+    :func:`~repro.metrics.evaluation.evaluate_snapshot` consumes the
+    evaluation stream block by block, exactly like the vectorized engine.
+    Without it, the sampled protocol draws every user's negatives in one
+    stacked :func:`draw_ranking_negatives_batched` pass from ``rng``.
     Ignored under the full-ranking protocol (``num_negatives=None``).
     """
     hits, ndcg_sum, count = _ranking_pass(
@@ -142,7 +140,16 @@ def _ranking_pass(
     """
     test_items = _validate_test_items(test_items, train.num_users, k)
     store = train.interaction_store()
-    generator = ensure_rng(rng)
+    if num_negatives is None:
+        predrawn_negatives = None
+    elif predrawn_negatives is None:
+        predrawn_negatives = draw_ranking_negatives_batched(
+            ensure_rng(rng),
+            store,
+            np.arange(train.num_users, dtype=np.int64),
+            test_items,
+            num_negatives,
+        )
     hits = 0
     contributions: list[float] = []
     for user in range(train.num_users):
@@ -150,16 +157,12 @@ def _ranking_pass(
         if test_item < 0:
             continue
         scores = score_fn(user)
-        if num_negatives is None:
+        if predrawn_negatives is None:
             rank = _full_rank(scores, test_item, store.positives(user))
-        elif predrawn_negatives is not None:
+        else:
             values, offsets = predrawn_negatives
             negatives = values[offsets[user] : offsets[user + 1]]
             rank = 1 + int(np.sum(scores[negatives] > scores[test_item]))
-        else:
-            rank = _sampled_rank(
-                scores, test_item, store, user, num_negatives, generator
-            )
         if rank <= k:
             hits += 1
             contributions.append(1.0 / float(np.log2(rank + 1.0)))
@@ -179,45 +182,6 @@ def _full_rank(scores: np.ndarray, test_item: int, positives: np.ndarray) -> int
     return 1 + int(np.sum(masked > test_score))
 
 
-def draw_ranking_negatives(
-    rng: np.random.Generator,
-    store: InteractionStore,
-    user: int,
-    test_item: int,
-    num_negatives: int,
-) -> np.ndarray:
-    """The sampled protocol's negative draw for one user (per-user stream).
-
-    Candidates are drawn uniformly with replacement and accepted in draw
-    order unless they are a positive of ``user`` or the test item itself;
-    the user's positives come straight from the shared
-    :class:`~repro.data.store.InteractionStore` mask row (a view — no
-    per-user mask array is allocated).  Under ``eval_sampler="per-user"``
-    both evaluation engines call this helper, so they consume the evaluation
-    RNG stream identically: every iteration draws ``2 * remaining``
-    candidates, and a user whose positives cover the whole catalog consumes
-    exactly one draw before giving up.  This per-user stream pins the
-    historical seed histories; the ``"batched"`` stream of
-    :func:`draw_ranking_negatives_batched` is a different realization.
-    """
-    mask_row = store.mask_row(user)
-    free = store.num_items - store.degree(user)
-    if not mask_row[test_item]:
-        free -= 1
-    accepted: list[np.ndarray] = []
-    need = num_negatives
-    while need > 0:
-        draws = rng.integers(0, store.num_items, size=2 * need)
-        ok = draws[~mask_row[draws] & (draws != test_item)][:need]
-        accepted.append(ok)
-        need -= ok.shape[0]
-        if free == 0:
-            break
-    if not accepted:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate(accepted).astype(np.int64, copy=False)
-
-
 def draw_ranking_negatives_batched(
     rng: np.random.Generator,
     store: InteractionStore,
@@ -227,29 +191,26 @@ def draw_ranking_negatives_batched(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The sampled protocol's stacked negative draw for one block of users.
 
-    This is the ``"batched"`` evaluation stream's entry point (selected by
-    ``eval_sampler="batched"``): one call draws the ranking negatives of a
-    whole score block through a single stacked rejection-sampling pass of
+    This is the evaluation stream's only entry point: one call draws the
+    ranking negatives of a whole score block through a single stacked
+    rejection-sampling pass of
     :func:`~repro.data.negative_sampling.sample_ranking_negatives_batched`,
     testing candidates directly against the shared
     :class:`~repro.data.store.InteractionStore` mask rows (a contiguous
     read-only :meth:`~repro.data.store.InteractionStore.mask_block` view
     when ``users`` is a contiguous range — no per-user mask allocation).
 
-    **RNG contract of the batched stream.**  The stream is consumed one
+    **RNG contract of the evaluation stream.**  The stream is consumed one
     stacked draw per user block, blocks in user order; within a block, each
     rejection round draws one flat candidate vector covering every pending
     row (rows in user order), so the realization depends only on the block
     partitioning, the blocks' mask rows, the test items and ``num_negatives``
-    — never on which evaluation engine consumes it.  It is a *different*
-    realization from the per-user stream of :func:`draw_ranking_negatives`
-    (same distribution, different draw order), exactly like the round
-    sampler's ``"batched"`` contract.
+    — never on which evaluation engine consumes it.
 
     Users whose ``test_items`` entry is negative are skipped (they request
     zero negatives and consume no randomness); users whose positives plus
-    test item cover the catalog receive zero negatives, mirroring the
-    per-user draw's give-up.  Everyone else receives exactly
+    test item cover the catalog receive zero negatives (their test item
+    ranks first).  Everyone else receives exactly
     ``num_negatives`` draws (with replacement), so the CSR segments of the
     returned ``(negatives, offsets)`` have length ``num_negatives`` or 0.
     """
@@ -274,17 +235,3 @@ def draw_ranking_negatives_batched(
     return sample_ranking_negatives_batched(
         rng, store.num_items, counts, masks, test_items, num_positives=degrees
     )
-
-
-def _sampled_rank(
-    scores: np.ndarray,
-    test_item: int,
-    store: InteractionStore,
-    user: int,
-    num_negatives: int,
-    rng: np.random.Generator,
-) -> int:
-    """Rank of the test item against ``num_negatives`` sampled negatives."""
-    negatives = draw_ranking_negatives(rng, store, user, test_item, num_negatives)
-    test_score = scores[test_item]
-    return 1 + int(np.sum(scores[negatives] > test_score))

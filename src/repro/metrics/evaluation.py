@@ -27,14 +27,11 @@ Equivalence contract with the loop engine (``engine="loop"`` here runs it):
 * full-rank HR/NDCG/ER values are bit-identical: integer rank counts feed
   per-user contribution values collected in user order and reduced with the
   same ``np.sum`` / ``np.mean`` calls;
-* the sampled protocol draws through one of two streams selected by
-  ``eval_sampler`` — the per-user stream of
-  :func:`~repro.metrics.accuracy.draw_ranking_negatives` (user order) or the
-  batched stream of
-  :func:`~repro.metrics.accuracy.draw_ranking_negatives_batched` (one
-  stacked draw per block, block order; the loop engine predraws through the
-  identical blocked calls) — so for either stream both engines consume the
-  evaluation RNG identically and report identical sampled metrics;
+* the sampled protocol draws one stacked
+  :func:`~repro.metrics.accuracy.draw_ranking_negatives_batched` pass per
+  block, blocks in user order (the loop engine predraws through the
+  identical blocked calls), so both engines consume the evaluation RNG
+  identically and report identical sampled metrics;
 * the sampled protocol's candidate *scores* come from one of two paths
   selected by ``eval_path`` — ``"block"`` gathers them out of the full
   blocked pass, ``"candidates"`` scores only the drawn candidate sets
@@ -42,7 +39,12 @@ Equivalence contract with the loop engine (``engine="loop"`` here runs it):
   :class:`~repro.models.base.CandidateScorerProtocol` gather, or a
   ``score_block`` slice for sources without one) — with identical draws and
   rank comparisons either way, and both engines dispatching through the
-  same candidate calls.
+  same candidate calls;
+* every fresh score block and every candidate gather is checked for
+  non-finite scores *before* masking, and a NaN or infinity raises
+  :class:`~repro.exceptions.ModelError` in both engines, on both paths and
+  under both protocols — a diverged model fails loudly instead of ranking
+  NaN as a perfect hit.
 
 The per-block full-rank/exposure pipeline is factored into
 :func:`_measure_block` returning :class:`_BlockMetrics`, which is also the
@@ -61,7 +63,6 @@ from repro.exceptions import ModelError
 from repro.metrics.accuracy import (
     AccuracyReport,
     _validate_test_items,
-    draw_ranking_negatives,
     draw_ranking_negatives_batched,
     evaluate_accuracy,
 )
@@ -80,7 +81,6 @@ __all__ = [
     "resolve_score_candidates",
     "user_blocks",
     "EVAL_ENGINES",
-    "EVAL_SAMPLERS",
     "EVAL_PATHS",
     "DEFAULT_BLOCK_SIZE",
 ]
@@ -148,14 +148,6 @@ EVAL_ENGINES = ("loop", "vectorized")
 #: full-ranking protocol, which inherently needs the whole catalog.
 EVAL_PATHS = ("block", "candidates")
 
-#: The valid values of every ``eval_sampler`` switch in the package: which
-#: RNG stream the sampled ranking protocol draws its negatives from.
-#: ``"per-user"`` (default) is the historical one-user-at-a-time stream that
-#: pins existing seed histories; ``"batched"`` draws a whole score-block's
-#: negatives in one stacked rejection-sampling pass — same distribution,
-#: different (faster) realization, identical between the two engines.
-EVAL_SAMPLERS = ("per-user", "batched")
-
 #: Default user-block size.  Small enough that a block's score matrix stays
 #: cache-resident through the mask/partition/compare pipeline; both engines
 #: must use the same value for their floats to coincide.
@@ -180,7 +172,6 @@ def evaluate_snapshot(
     num_negatives: int | None = 99,
     rng: np.random.Generator | int | None = None,
     engine: str = "vectorized",
-    eval_sampler: str = "per-user",
     eval_path: str = "block",
     block_size: int = DEFAULT_BLOCK_SIZE,
 ) -> EvaluationResult:
@@ -211,18 +202,12 @@ def evaluate_snapshot(
         Sampled-protocol negatives per user (``None`` ranks against the full
         catalog).
     rng:
-        Randomness for the sampled protocol; both engines consume it
-        identically.
+        Randomness for the sampled protocol: one stacked
+        :func:`~repro.metrics.accuracy.draw_ranking_negatives_batched` draw
+        per score block.  Both engines consume it identically, so the
+        metrics per seed never depend on the engine.
     engine:
         ``"vectorized"`` (default) or ``"loop"`` — the per-user oracle.
-    eval_sampler:
-        Which RNG stream the sampled protocol draws from: ``"per-user"``
-        (default — the historical stream, one draw sequence per user) or
-        ``"batched"`` (one stacked draw per score block through
-        :func:`~repro.metrics.accuracy.draw_ranking_negatives_batched`).
-        Both engines consume either stream identically, so the metrics per
-        seed depend on the sampler, never on the engine.  Ignored under the
-        full-ranking protocol.
     eval_path:
         How the sampled protocol obtains its candidate scores:
         ``"block"`` (default) gathers candidate columns out of the full
@@ -234,14 +219,13 @@ def evaluate_snapshot(
         either way).
     block_size:
         Users per scoring block (both engines share the partitioning, and
-        the batched stream draws one stacked pass per block).
+        the sampled protocol draws one stacked pass per block).
+
+    Raises :class:`~repro.exceptions.ModelError` when any score the
+    evaluation reads is NaN or infinite.
     """
     if engine not in EVAL_ENGINES:
         raise ModelError(f"engine must be one of {EVAL_ENGINES}, got {engine!r}")
-    if eval_sampler not in EVAL_SAMPLERS:
-        raise ModelError(
-            f"eval_sampler must be one of {EVAL_SAMPLERS}, got {eval_sampler!r}"
-        )
     if eval_path not in EVAL_PATHS:
         raise ModelError(f"eval_path must be one of {EVAL_PATHS}, got {eval_path!r}")
     if block_size <= 0:
@@ -251,11 +235,11 @@ def evaluate_snapshot(
     if engine == "loop":
         return _evaluate_loop(
             score_block, train, test_items, target_items, k, num_negatives, rng,
-            eval_sampler, eval_path, block_size,
+            eval_path, block_size,
         )
     return _evaluate_vectorized(
         score_block, train, test_items, target_items, k, num_negatives, rng,
-        eval_sampler, eval_path, block_size,
+        eval_path, block_size,
     )
 
 
@@ -273,6 +257,18 @@ def user_blocks(num_users: int, block_size: int) -> list[tuple[int, int]]:
     ]
 
 
+def _check_finite(scores: np.ndarray, source: str) -> None:
+    """Raise :class:`ModelError` when ``scores`` holds a NaN or an infinity.
+
+    Masking writes ``-inf`` over positives and every rank count compares
+    with ``>``, against which NaN is never larger: an unchecked NaN row
+    ranks its test item first and reports a perfect hit.
+    """
+    if not np.isfinite(scores).all():
+        bad = int(np.count_nonzero(~np.isfinite(scores)))
+        raise ModelError(f"{source} produced {bad} non-finite score(s)")
+
+
 def _score_block_checked(
     score_block: ScoreBlockFunction,
     lo: int,
@@ -286,9 +282,10 @@ def _score_block_checked(
     A wrong-width block used to surface only later — as a confusing
     ``np.concatenate`` error in the loop engine, or the vectorized engine's
     own post-hoc check — so every scoring path now funnels through this one
-    call.  ``writable=True`` additionally guarantees the caller owns a
-    writable array (the vectorized pipeline masks blocks in place); fresh
-    products pass through without a copy.
+    call, which also rejects non-finite scores before anything masks them.
+    ``writable=True`` additionally guarantees the caller owns a writable
+    array (the vectorized pipeline masks blocks in place); fresh products
+    pass through without a copy.
     """
     users = np.arange(lo, hi, dtype=np.int64)
     scores = np.asarray(score_block(users), dtype=np.float64)
@@ -297,6 +294,7 @@ def _score_block_checked(
             f"score_block must produce a ({hi - lo}, {num_items}) matrix for "
             f"users [{lo}, {hi}), got {scores.shape}"
         )
+    _check_finite(scores, f"score_block for users [{lo}, {hi})")
     if writable and (scores.base is not None or not scores.flags.writeable):
         scores = scores.copy()
     return scores
@@ -349,7 +347,6 @@ def _evaluate_loop(
     k: int,
     num_negatives: int | None,
     rng: np.random.Generator | int | None,
-    eval_sampler: str,
     eval_path: str,
     block_size: int,
 ) -> EvaluationResult:
@@ -359,14 +356,14 @@ def _evaluate_loop(
     vectorized engine makes (same block boundaries), then handed to the
     per-user loop metrics as a row-indexing callback — streamed one block at
     a time when only a single consumer needs them, concatenated only when
-    both accuracy and exposure read the same scores.  Under
-    ``eval_sampler="batched"`` the sampled protocol's negatives are predrawn
-    here — one stacked draw per block, blocks in user order, exactly the
-    stream consumption of the vectorized engine — and the per-user pass only
-    ranks them.  Under ``eval_path="candidates"`` the sampled accuracy pass
-    never block-scores at all: it draws the same negatives, scores them
-    through the same ``score_candidates`` calls as the vectorized engine,
-    and ranks each user in its own Python loop — a genuine oracle for the
+    both accuracy and exposure read the same scores.  The sampled protocol's
+    negatives are predrawn here — one stacked draw per block, blocks in user
+    order, exactly the stream consumption of the vectorized engine — and the
+    per-user pass only ranks them.  Under ``eval_path="candidates"`` the
+    sampled accuracy pass never block-scores at all: it draws the same
+    negatives, scores them through the same ``score_candidates`` calls as
+    the vectorized engine, and ranks each user in its own Python loop — a
+    genuine oracle for the
     candidate-gather path.
     """
     generator = ensure_rng(rng)
@@ -394,13 +391,12 @@ def _evaluate_loop(
     accuracy: AccuracyReport | None = None
     if test_items is not None and num_negatives is not None and gather:
         accuracy = _loop_accuracy_candidates(
-            source, train, test_items, k, num_negatives, generator,
-            eval_sampler, block_size,
+            source, train, test_items, k, num_negatives, generator, block_size,
         )
     elif test_items is not None and score_fn is not None:
         predrawn = None
-        if num_negatives is not None and eval_sampler == "batched":
-            predrawn = _predraw_batched_negatives(
+        if num_negatives is not None:
+            predrawn = _predraw_negatives(
                 train, _validate_test_items(test_items, train.num_users, k),
                 num_negatives, generator, block_size,
             )
@@ -423,7 +419,6 @@ def _loop_accuracy_candidates(
     k: int,
     num_negatives: int,
     generator: np.random.Generator,
-    eval_sampler: str,
     block_size: int,
 ) -> AccuracyReport:
     """The loop oracle's sampled accuracy pass under ``eval_path="candidates"``.
@@ -443,7 +438,7 @@ def _loop_accuracy_candidates(
     for lo, hi in user_blocks(train.num_users, block_size):
         block_hits, contributions = _accuracy_block_candidates(
             score_candidates, store, lo, hi, test_items, k, num_negatives,
-            generator, eval_sampler, per_user_ranks=True,
+            generator, per_user_ranks=True,
         )
         hits += block_hits
         parts.append(contributions)
@@ -456,21 +451,21 @@ def _loop_accuracy_candidates(
     )
 
 
-def _predraw_batched_negatives(
+def _predraw_negatives(
     train: InteractionDataset,
     test_items: np.ndarray,
     num_negatives: int,
     generator: np.random.Generator,
     block_size: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Consume the batched evaluation stream for every block upfront.
+    """Consume the evaluation stream for every block upfront.
 
     Returns the whole population's ranking negatives as one ``(values,
     offsets)`` CSR pair indexed by user id.  The stream consumption — one
     stacked :func:`draw_ranking_negatives_batched` call per block, blocks in
     user order — is identical to the vectorized engine's interleaved
     draws, which is what keeps the loop engine the equivalence oracle for
-    the batched stream too.
+    the sampled protocol.
     """
     store = train.interaction_store()
     values_parts: list[np.ndarray] = []
@@ -602,7 +597,6 @@ def _measure_block(
     *,
     num_negatives: int | None = None,
     generator: np.random.Generator | None = None,
-    eval_sampler: str = "per-user",
     sampled_result: tuple[int, np.ndarray] | None = None,
 ) -> _BlockMetrics:
     """Mask, rank and measure one fresh pre-mask score block.
@@ -647,14 +641,9 @@ def _measure_block(
     if block_tests is not None and num_negatives is not None:
         if sampled_result is not None:
             hits, contributions = sampled_result
-        elif generator is not None and eval_sampler == "batched":
+        elif generator is not None:
             hits, contributions = _accuracy_block_sampled_batched(
                 scores, valid, test_scores, block_tests, lo, hi, k,
-                num_negatives, generator, store,
-            )
-        elif generator is not None:
-            hits, contributions = _accuracy_block_sampled(
-                scores, valid, test_scores, block_tests, lo, k,
                 num_negatives, generator, store,
             )
     target_scores = scores[:, target_items] if target_items is not None else None
@@ -737,7 +726,6 @@ def _evaluate_vectorized(
     k: int,
     num_negatives: int | None,
     rng: np.random.Generator | int | None,
-    eval_sampler: str,
     eval_path: str,
     block_size: int,
     exposure_ks: tuple[int, int] = (5, 10),
@@ -778,7 +766,7 @@ def _evaluate_vectorized(
         if gather and score_candidates is not None and test_items is not None and num_negatives is not None:
             sampled_result = _accuracy_block_candidates(
                 score_candidates, store, lo, hi, test_items, k, num_negatives,
-                generator, eval_sampler, per_user_ranks=False,
+                generator, per_user_ranks=False,
             )
         if need_blocks:
             scores = _score_block_checked(resolved, lo, hi, num_items)
@@ -787,7 +775,7 @@ def _evaluate_vectorized(
                     scores, lo, hi, store, test_items, target_items, k,
                     cutoffs, exposure_ks, exposure_ndcg_k, ideal,
                     num_negatives=num_negatives, generator=generator,
-                    eval_sampler=eval_sampler, sampled_result=sampled_result,
+                    sampled_result=sampled_result,
                 )
             )
         elif sampled_result is not None:
@@ -832,41 +820,6 @@ def _accuracy_block_full(
     return block_hits, contributions
 
 
-def _accuracy_block_sampled(
-    masked: np.ndarray,
-    valid: np.ndarray,
-    test_scores: np.ndarray,
-    block_tests: np.ndarray,
-    block_start: int,
-    k: int,
-    num_negatives: int,
-    generator: np.random.Generator,
-    store: InteractionStore,
-) -> tuple[int, np.ndarray]:
-    """Sampled-protocol HR/NDCG contributions of one user block.
-
-    Runs *before* the block's partition: it reads scores at the drawn
-    negatives' positions (never positives, so the in-place masking left
-    them untouched).  Negatives are drawn per user in user order through
-    :func:`draw_ranking_negatives` — the identical RNG consumption of the
-    loop oracle.
-    """
-    contributions = np.zeros(valid.shape[0], dtype=np.float64)
-    block_hits = 0
-    for position in range(valid.shape[0]):
-        user = block_start + int(valid[position])
-        negatives = draw_ranking_negatives(
-            generator, store, user, int(block_tests[valid[position]]), num_negatives
-        )
-        rank = 1 + int(
-            np.sum(masked[valid[position], negatives] > test_scores[position])
-        )
-        if rank <= k:
-            block_hits += 1
-            contributions[position] = 1.0 / float(np.log2(rank + 1.0))
-    return block_hits, contributions
-
-
 def _accuracy_block_sampled_batched(
     masked: np.ndarray,
     valid: np.ndarray,
@@ -879,21 +832,21 @@ def _accuracy_block_sampled_batched(
     generator: np.random.Generator,
     store: InteractionStore,
 ) -> tuple[int, np.ndarray]:
-    """Sampled-protocol HR/NDCG of one block under the batched stream.
+    """Sampled-protocol HR/NDCG of one block on the ``"block"`` path.
 
-    One stacked :func:`draw_ranking_negatives_batched` call replaces the
-    per-user draw loop, and one blocked broadcast comparison replaces the
-    per-user ``_sampled_rank`` calls.  Runs *before* the block's partition:
-    it reads scores at the drawn negatives' positions (never positives, so
-    the in-place masking left them untouched).  Because the draw is with
-    replacement, every valid user's candidate segment has exactly
-    ``num_negatives`` entries — except saturated users (positives + test
-    item cover the catalog), whose empty segment yields rank 1 exactly like
-    the per-user give-up.  The gather below is driven by the stream's own
-    CSR offsets rather than a blind reshape, so a drawer that violates the
-    segment invariant (a short segment, or negatives attached to an invalid
-    user) is a hard :class:`~repro.exceptions.ModelError`, never a silent
-    row-misalignment of every subsequent user's candidates.
+    One stacked :func:`draw_ranking_negatives_batched` call draws the
+    block's negatives, and one blocked broadcast comparison ranks every
+    user's test item.  Runs *before* the block's partition: it reads scores
+    at the drawn negatives' positions (never positives, so the in-place
+    masking left them untouched).  Because the draw is with replacement,
+    every valid user's candidate segment has exactly ``num_negatives``
+    entries — except saturated users (positives + test item cover the
+    catalog), whose empty segment yields rank 1.  The gather below is
+    driven by the stream's own CSR offsets rather than a blind reshape, so a
+    drawer that violates the segment invariant (a short segment, or
+    negatives attached to an invalid user) is a hard
+    :class:`~repro.exceptions.ModelError`, never a silent row-misalignment
+    of every subsequent user's candidates.
     """
     contributions = np.zeros(valid.shape[0], dtype=np.float64)
     users = np.arange(block_start, block_stop, dtype=np.int64)
@@ -908,7 +861,7 @@ def _accuracy_block_sampled_batched(
     saturated = np.flatnonzero(segment_lengths == 0)
     if full.shape[0] + saturated.shape[0] != valid.shape[0]:
         raise ModelError(
-            "batched ranking-negative segments must be empty (saturated "
+            "ranking-negative segments must be empty (saturated "
             f"user) or exactly num_negatives={num_negatives} long, got "
             f"segment lengths {np.unique(segment_lengths).tolist()}"
         )
@@ -940,52 +893,37 @@ def _accuracy_block_candidates(
     k: int,
     num_negatives: int,
     generator: np.random.Generator,
-    eval_sampler: str,
     *,
     per_user_ranks: bool,
 ) -> tuple[int, np.ndarray]:
     """Sampled-protocol HR/NDCG of one block through candidate gathers.
 
     The ``eval_path="candidates"`` realization: draws the block's negatives
-    exactly like the block path (same stream, same order — per-user draws
-    for valid users in user order, or one stacked batched draw over the
-    whole block), assembles the rectangular ``(B_full, 1 + num_negatives)``
+    exactly like the block path (one stacked draw over the whole block from
+    the same stream), assembles the rectangular ``(B_full, 1 + num_negatives)``
     candidate-id sets with the test item in column 0, scores them in **one**
     ``score_candidates`` call, and counts each test item's rank among its
-    own negatives.  Saturated users (empty draw) rank 1 — the same give-up
-    as both block-path helpers.  ``per_user_ranks=True`` is the loop
+    own negatives.  Saturated users (empty draw) rank 1, as on the block
+    path.  ``per_user_ranks=True`` is the loop
     oracle: identical draws and scoring calls, but every rank and
     contribution comes from its own scalar comparison loop.
 
     Segment lengths are validated against the ``{0, num_negatives}``
-    invariant exactly like the batched block path — short segments fail
-    loudly instead of corrupting the rectangular gather.
+    invariant exactly like the block path — short segments fail loudly
+    instead of corrupting the rectangular gather — and the gathered scores
+    are checked for non-finite values before any comparison.
     """
     block_tests = test_items[block_start:block_stop]
     valid = np.flatnonzero(block_tests >= 0)
     contributions = np.zeros(valid.shape[0], dtype=np.float64)
-    if eval_sampler == "batched":
-        users = np.arange(block_start, block_stop, dtype=np.int64)
-        negatives, offsets = draw_ranking_negatives_batched(
-            generator, store, users, block_tests, num_negatives
-        )
-        if valid.shape[0] == 0:
-            return 0, contributions
-        segment_lengths = np.diff(offsets)[valid]
-        segment_starts = offsets[:-1][valid]
-    else:
-        if valid.shape[0] == 0:
-            return 0, contributions
-        per_user = [
-            draw_ranking_negatives(
-                generator, store, block_start + int(position),
-                int(block_tests[position]), num_negatives,
-            )
-            for position in valid
-        ]
-        segment_lengths = np.array([seg.shape[0] for seg in per_user], dtype=np.int64)
-        negatives = np.concatenate(per_user) if per_user else np.empty(0, dtype=np.int64)
-        segment_starts = np.concatenate(([0], np.cumsum(segment_lengths[:-1])))
+    users = np.arange(block_start, block_stop, dtype=np.int64)
+    negatives, offsets = draw_ranking_negatives_batched(
+        generator, store, users, block_tests, num_negatives
+    )
+    if valid.shape[0] == 0:
+        return 0, contributions
+    segment_lengths = np.diff(offsets)[valid]
+    segment_starts = offsets[:-1][valid]
     full = np.flatnonzero(segment_lengths == num_negatives)
     saturated = np.flatnonzero(segment_lengths == 0)
     if full.shape[0] + saturated.shape[0] != valid.shape[0]:
@@ -1014,6 +952,9 @@ def _accuracy_block_candidates(
             f"score_candidates must produce a {candidate_sets.shape} matrix, "
             f"got {candidate_scores.shape}"
         )
+    _check_finite(
+        candidate_scores, f"score_candidates for users [{block_start}, {block_stop})"
+    )
     if per_user_ranks:
         for index in range(full.shape[0]):
             rank = 1 + int(

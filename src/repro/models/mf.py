@@ -139,7 +139,9 @@ class MatrixFactorizationModel(Recommender):
             return self.item_factors @ user_vector
         return self.item_factors[np.asarray(items, dtype=np.int64)] @ user_vector
 
-    def score_block(self, users: np.ndarray, /) -> np.ndarray:
+    def score_block(
+        self, users: np.ndarray, /, *, out: np.ndarray | None = None
+    ) -> np.ndarray:
         """Stacked scores ``U[users] V^T`` for a 1-D block of user *ids*.
 
         One matrix product replaces ``B`` :meth:`score_items` calls; this is
@@ -147,13 +149,16 @@ class MatrixFactorizationModel(Recommender):
         serving layer (:class:`~repro.models.base.ScorerProtocol`).  The
         floats are bit-identical to the historical vector-based call
         ``score_block(self.user_factors[users])`` — same gather, same GEMM.
+        ``out`` is an optional C-contiguous ``(B, n_items)`` float64 buffer
+        the product is written into (the same GEMM, so the same floats) —
+        how the serving layer recycles a retired snapshot's blocks.
         """
         users = np.asarray(users, dtype=np.int64)
         if users.ndim != 1:
             raise ModelError(f"users must be a 1-D array of user ids, got shape {users.shape}")
         if users.size and (int(users.min()) < 0 or int(users.max()) >= self._num_users):
             raise ModelError(f"user ids out of range [0, {self._num_users})")
-        return self.user_factors[users] @ self.item_factors.T
+        return np.matmul(self.user_factors[users], self.item_factors.T, out=out)
 
     def score_candidates(self, users: np.ndarray, candidate_items: np.ndarray, /) -> np.ndarray:
         """``(B, C)`` scores of per-user candidate sets, without the full GEMM.

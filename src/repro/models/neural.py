@@ -380,14 +380,23 @@ class MLPRecommender:
         )
         return self.scorer.score_block(self.user_factors[user][None, :], item_vectors)[0]
 
-    def score_block(self, users: np.ndarray, /) -> np.ndarray:
-        """Stacked ``(B, n_items)`` scores for a 1-D block of user ids."""
+    def score_block(
+        self, users: np.ndarray, /, *, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Stacked ``(B, n_items)`` scores for a 1-D block of user ids.
+
+        ``out`` optionally receives a copy of the scores (the same floats).
+        """
         users = np.asarray(users, dtype=np.int64)
         if users.ndim != 1:
             raise ModelError(f"users must be a 1-D array of user ids, got shape {users.shape}")
         if users.size and (int(users.min()) < 0 or int(users.max()) >= self.n_users):
             raise ModelError(f"user ids out of range [0, {self.n_users})")
-        return self.scorer.score_block(self.user_factors[users], self.item_factors)
+        scores = self.scorer.score_block(self.user_factors[users], self.item_factors)
+        if out is None:
+            return scores
+        out[...] = scores
+        return out
 
     def score_candidates(self, users: np.ndarray, candidate_items: np.ndarray, /) -> np.ndarray:
         """``(B, C)`` scores of per-user candidate sets via the gathered forward.

@@ -15,6 +15,14 @@ both guarded by one re-entrant lock and both invalidated atomically by
 * a **per-user memo** of finished :class:`Recommendation` objects keyed by
   ``(user, k)``, so repeat queries skip masking and selection entirely.
 
+A swap does not leave the new snapshot cold.  The retired snapshot's block
+arrays become scoring buffers for the new one (an MF block is the same GEMM
+written into the old array, so its floats are those of a fresh product and
+no 128-row block has to be faulted back into memory), and with an unbounded
+cache :meth:`RecommenderService.swap_snapshot` prewarms every canonical block
+on the calling thread before it returns, taking the lock once per block so
+queries interleave with it.  A newer swap stops an older prewarm.
+
 Batch queries group users by block so each block is scored by a single
 stacked pass, then run the *same* per-row selection helper as single
 queries — batch and single responses are bit-identical by construction,
@@ -125,7 +133,7 @@ class RecommenderService:
             )
         self._lock = threading.RLock()
         self._snapshot = snapshot
-        self._model = snapshot.model()
+        snapshot.model()  # a snapshot whose model cannot be built fails here
         self._train = train
         self._store: InteractionStore | None = (
             train.interaction_store() if train is not None else None
@@ -136,6 +144,8 @@ class RecommenderService:
         self._max_cached_blocks = max_cached_blocks
         self._blocks = user_blocks(snapshot.n_users, self._block_size)
         self._block_scores: OrderedDict[int, np.ndarray] = OrderedDict()
+        #: Retired snapshots' block arrays, reused as scoring buffers.
+        self._spare_blocks: dict[int, np.ndarray] = {}
         self._memo: OrderedDict[tuple[int, int], Recommendation] = OrderedDict()
         self._queries = 0
         self._memo_hits = 0
@@ -179,7 +189,7 @@ class RecommenderService:
             }
 
     def swap_snapshot(self, snapshot: FactorSnapshot) -> None:
-        """Atomically replace the served snapshot and drop every cache entry.
+        """Atomically replace the served snapshot, then prewarm its blocks.
 
         The new snapshot must cover the same user/item universe (the masking
         store and block partitioning are built for it); anything else is a
@@ -190,6 +200,13 @@ class RecommenderService:
         fails leaves the old snapshot, model and caches fully in place (the
         failure is counted in ``stats()['failed_swaps']`` and re-raised as a
         :class:`~repro.exceptions.ServingError`).
+
+        Installing the snapshot drops every memo entry and cached block at
+        once; the dropped blocks are kept as scoring buffers.  Unless
+        ``max_cached_blocks`` bounds the cache, the call then scores every
+        canonical block of the new snapshot before returning (one lock
+        acquisition per block, so queries are served in between), and stops
+        early if another swap supersedes this one.
         """
         if (
             snapshot.n_users != self._snapshot.n_users
@@ -203,7 +220,7 @@ class RecommenderService:
                 f"({self._snapshot.n_users}, {self._snapshot.n_items})"
             )
         try:
-            model = snapshot.model()
+            snapshot.model()
         except Exception as error:
             with self._lock:
                 self._failed_swaps += 1
@@ -213,10 +230,21 @@ class RecommenderService:
             ) from error
         with self._lock:
             self._snapshot = snapshot
-            self._model = model
+            self._spare_blocks.update(self._block_scores)
             self._block_scores.clear()
             self._memo.clear()
             self._snapshot_swaps += 1
+            generation = self._snapshot_swaps
+        if self._max_cached_blocks is None:
+            self._prewarm(generation)
+
+    def _prewarm(self, generation: int) -> None:
+        """Score every block of the snapshot that swap ``generation`` installed."""
+        for block_index in range(len(self._blocks)):
+            with self._lock:
+                if self._snapshot_swaps != generation:
+                    return
+                self._block_rows(block_index)
 
     # ------------------------------------------------------------------
     # scoring
@@ -236,8 +264,14 @@ class RecommenderService:
             self._block_scores.move_to_end(block_index)
             return cached
         lo, hi = self._blocks[block_index]
+        buffer = self._spare_blocks.pop(block_index, None)
+        if buffer is not None:
+            if buffer.flags.owndata:
+                buffer.setflags(write=True)
+            else:
+                buffer = None
         rows = np.asarray(
-            self._model.score_block(np.arange(lo, hi, dtype=np.int64)),
+            self._snapshot.score_block(np.arange(lo, hi, dtype=np.int64), out=buffer),
             dtype=np.float64,
         )
         if rows.shape != (hi - lo, self._snapshot.n_items):

@@ -70,7 +70,7 @@ class FactorSnapshot:
     item_factors: np.ndarray
     scorer: MLPScorer | None = None
     version: int = 0
-    _model: list[CandidateScorerProtocol] = field(
+    _model: list[MatrixFactorizationModel | MLPRecommender] = field(
         default_factory=list, init=False, repr=False, compare=False
     )
 
@@ -125,8 +125,11 @@ class FactorSnapshot:
         extension, so the returned scorer is a
         :class:`~repro.models.base.CandidateScorerProtocol`.
         """
+        return self._built_model()
+
+    def _built_model(self) -> MatrixFactorizationModel | MLPRecommender:
         if not self._model:
-            built: CandidateScorerProtocol
+            built: MatrixFactorizationModel | MLPRecommender
             if self.scorer is None:
                 built = MatrixFactorizationModel.from_factors(
                     self.user_factors, self.item_factors
@@ -135,6 +138,18 @@ class FactorSnapshot:
                 built = MLPRecommender(self.user_factors, self.item_factors, self.scorer)
             self._model.append(built)
         return self._model[0]
+
+    def score_block(
+        self, users: np.ndarray, /, *, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """``(B, n_items)`` scores of a block of user ids, optionally into ``out``.
+
+        Delegates to the cached :meth:`model`; ``out`` is a caller-owned
+        ``(B, n_items)`` float64 buffer the scores are written into, with
+        floats identical to a fresh call (the MF product runs the same GEMM
+        into it, the MLP adapter copies).
+        """
+        return self._built_model().score_block(users, out=out)
 
     def score_candidates(self, users: np.ndarray, candidate_items: np.ndarray, /) -> np.ndarray:
         """``(B, C)`` scores of per-user candidate sets over the frozen factors.

@@ -30,15 +30,15 @@ __all__ = ["FederatedConfig"]
 @dataclass
 class FederatedConfig:
     engine: str = "vectorized"
-    sampler: str = "permutation"
+    eval_path: str = "block"
     fuse_rounds: int = 1
     workers: int = 1
 
     def validate(self) -> None:
         if self.engine not in ("loop", "vectorized"):
             raise ValueError(self.engine)
-        if self.sampler not in ("permutation", "batched"):
-            raise ValueError(self.sampler)
+        if self.eval_path not in ("block", "candidates"):
+            raise ValueError(self.eval_path)
         if self.workers < 1:
             raise ValueError(self.workers)
 '''
@@ -56,7 +56,7 @@ __all__ = ["ExperimentConfig"]
 @dataclass
 class ExperimentConfig:
     engine: str = "vectorized"
-    sampler: str = "permutation"
+    eval_path: str = "block"
     fuse_rounds: int = 1
     workers: int = 1
 '''
@@ -74,7 +74,7 @@ __all__ = ["build_parser"]
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser()
     parser.add_argument("--engine")
-    parser.add_argument("--sampler")
+    parser.add_argument("--eval-path")
     parser.add_argument("--fuse-rounds")
     parser.add_argument("--workers")
     return parser
@@ -85,7 +85,7 @@ _ENGINE = '''\
 
 from __future__ import annotations
 
-__all__ = ["train_round", "draw_negatives"]
+__all__ = ["train_round", "score_candidates"]
 
 
 def train_round(engine: str) -> str:
@@ -96,12 +96,12 @@ def train_round(engine: str) -> str:
     raise ValueError(engine)
 
 
-def draw_negatives(sampler: str) -> str:
-    if sampler == "permutation":
-        return "per-client streams"
-    if sampler == "batched":
-        return "round stream"
-    raise ValueError(sampler)
+def score_candidates(eval_path: str) -> str:
+    if eval_path == "block":
+        return "block gather"
+    if eval_path == "candidates":
+        return "candidate gather"
+    raise ValueError(eval_path)
 
 
 def dispatch_round(workers: int) -> str:
@@ -122,24 +122,32 @@ def test_workers_parametrization() -> None:
 '''
 
 _EQUIVALENCE_SUITE = '''\
-"""Engine/sampler equivalence suite (fixture)."""
+"""Engine equivalence suite (fixture)."""
 
 ENGINES = ("loop", "vectorized")
-SAMPLERS = ("permutation", "batched")
 
 
 def test_parametrizations() -> None:
     assert len(ENGINES) == 2
-    assert len(SAMPLERS) == 2
+'''
+
+_EVAL_PATH_SUITE = '''\
+"""Scoring-path equivalence suite (fixture)."""
+
+PATHS = ("block", "candidates")
+
+
+def test_parametrizations() -> None:
+    assert len(PATHS) == 2
 '''
 
 _GOLDEN_CASES = '''\
 """Golden case grid (fixture)."""
 
 GOLDEN_CASES = {
-    "loop-perm": {"engine": "loop", "sampler": "permutation", "workers": 1},
-    "vec-batched": {"engine": "vectorized", "sampler": "batched", "workers": 1},
-    "vec-workers2": {"engine": "vectorized", "sampler": "permutation", "workers": 2},
+    "loop-block": {"engine": "loop", "eval_path": "block", "workers": 1},
+    "vec-candidates": {"engine": "vectorized", "eval_path": "candidates", "workers": 1},
+    "vec-workers2": {"engine": "vectorized", "eval_path": "block", "workers": 2},
 }
 '''
 
@@ -149,7 +157,7 @@ _README = """\
 | Switch | CLI flag | Values |
 | --- | --- | --- |
 | `engine` | `--engine` | `loop`, `vectorized` |
-| `sampler` | `--sampler` | `permutation`, `batched` |
+| `eval_path` | `--eval-path` | `block`, `candidates` |
 | `fuse_rounds` | `--fuse-rounds` | positive int |
 | `workers` | `--workers` | positive int |
 """
@@ -164,6 +172,7 @@ CLEAN_TREE: dict[str, str] = {
     "src/repro/cli.py": _CLI,
     "src/repro/federated/engine.py": _ENGINE,
     "tests/test_federated_engine_equivalence.py": _EQUIVALENCE_SUITE,
+    "tests/test_eval_path_equivalence.py": _EVAL_PATH_SUITE,
     "tests/test_sharded_engine_equivalence.py": _SHARDED_SUITE,
     "tests/golden/golden_cases.py": _GOLDEN_CASES,
     "README.md": _README,
@@ -197,10 +206,10 @@ SWITCH_REGISTRY = (
         choices=("loop", "vectorized"),
     ),
     SwitchSpec(
-        name="sampler",
+        name="eval_path",
         kind="choice",
-        default="permutation",
-        choices=("permutation", "batched"),
+        default="block",
+        choices=("block", "candidates"),
     ),
     SwitchSpec(name="fuse_rounds", kind="int", default=1, minimum=1),
     SwitchSpec(name="workers", kind="int", default=1, minimum=1),

@@ -11,11 +11,11 @@ def test_clean_tree_in_sync(clean_root) -> None:
 
 def test_missing_cli_flag_fails(tmp_path) -> None:
     cli = CLEAN_TREE["src/repro/cli.py"].replace(
-        '    parser.add_argument("--sampler")\n', ""
+        '    parser.add_argument("--eval-path")\n', ""
     )
     root = write_tree(tmp_path, {**CLEAN_TREE, "src/repro/cli.py": cli})
     found = messages(lint(root, select=["R5"]))
-    assert any("'--sampler'" in m for m in found)
+    assert any("'--eval-path'" in m for m in found)
     assert not any("'--engine'" in m for m in found)
 
 
@@ -23,22 +23,22 @@ def test_missing_readme_row_fails(tmp_path) -> None:
     readme = "\n".join(
         line
         for line in CLEAN_TREE["README.md"].splitlines()
-        if "`sampler`" not in line
+        if "`eval_path`" not in line
     )
     root = write_tree(tmp_path, {**CLEAN_TREE, "README.md": readme})
     found = messages(lint(root, select=["R5"]))
-    assert any("'sampler'" in m and "README" in m for m in found)
+    assert any("'eval_path'" in m and "README" in m for m in found)
 
 
 def test_missing_experiment_mirror_fails(tmp_path) -> None:
     experiment = CLEAN_TREE["src/repro/experiments/config.py"].replace(
-        '    sampler: str = "permutation"\n', ""
+        '    eval_path: str = "block"\n', ""
     )
     root = write_tree(
         tmp_path, {**CLEAN_TREE, "src/repro/experiments/config.py": experiment}
     )
     found = messages(lint(root, select=["R5"]))
-    assert any("'sampler'" in m and "mirror" in m for m in found)
+    assert any("'eval_path'" in m and "mirror" in m for m in found)
 
 
 def test_numeric_extra_switch_checked(tmp_path) -> None:

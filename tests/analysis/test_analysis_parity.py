@@ -51,7 +51,7 @@ class TestDeletions:
 
     def test_deleting_golden_case_fails(self, tmp_path) -> None:
         grid = CLEAN_TREE["tests/golden/golden_cases.py"].replace(
-            '    "vec-batched": {"engine": "vectorized", "sampler": "batched", '
+            '    "vec-candidates": {"engine": "vectorized", "eval_path": "candidates", '
             '"workers": 1},\n',
             "",
         )
@@ -60,7 +60,7 @@ class TestDeletions:
         )
         found = messages(lint(root, select=["R2"]))
         assert any(
-            "sampler='batched'" in m and "golden" in m for m in found
+            "eval_path='candidates'" in m and "golden" in m for m in found
         )
         # The surviving cases' realizations stay covered — including
         # engine='vectorized', which "vec-workers2" still pins.
@@ -80,10 +80,10 @@ class TestRegistry:
             '    fuse_rounds: int = 1\n',
             '    fuse_rounds: int = 1\n    eval_mode: str = "fast"\n',
         ).replace(
-            "        if self.sampler not in",
+            "        if self.eval_path not in",
             '        if self.eval_mode not in ("fast", "slow"):\n'
             "            raise ValueError(self.eval_mode)\n"
-            "        if self.sampler not in",
+            "        if self.eval_path not in",
         )
         root = write_tree(
             tmp_path, {**CLEAN_TREE, "src/repro/federated/config.py": config}
@@ -100,11 +100,11 @@ class TestRegistry:
             '"""Grid via loop variables."""\n\n'
             "GOLDEN_CASES = {}\n"
             'for _engine in ("loop", "vectorized"):\n'
-            '    for _sampler in ("permutation", "batched"):\n'
+            '    for _path in ("block", "candidates"):\n'
             "        for _workers in (1, 2):\n"
-            "            GOLDEN_CASES[f\"{_engine}-{_sampler}-{_workers}\"] = {\n"
+            "            GOLDEN_CASES[f\"{_engine}-{_path}-{_workers}\"] = {\n"
             '                "engine": _engine,\n'
-            '                "sampler": _sampler,\n'
+            '                "eval_path": _path,\n'
             '                "workers": _workers,\n'
             "            }\n"
         )
@@ -159,7 +159,7 @@ class TestIntSwitches:
 
     def test_deleting_workers_golden_case_fails(self, tmp_path) -> None:
         grid = CLEAN_TREE["tests/golden/golden_cases.py"].replace(
-            '    "vec-workers2": {"engine": "vectorized", "sampler": "permutation", '
+            '    "vec-workers2": {"engine": "vectorized", "eval_path": "block", '
             '"workers": 2},\n',
             "",
         )

@@ -30,13 +30,13 @@ def test_registry_is_the_extraction_source(tmp_path) -> None:
     config = REGISTRY_TREE["src/repro/federated/config.py"].replace(
         '        if self.engine not in ("loop", "vectorized"):\n'
         "            raise ValueError(self.engine)\n"
-        '        if self.sampler not in ("permutation", "batched"):\n'
-        "            raise ValueError(self.sampler)\n",
+        '        if self.eval_path not in ("block", "candidates"):\n'
+        "            raise ValueError(self.eval_path)\n",
         "",
     )
     assert "not in" not in config
     cli = REGISTRY_TREE["src/repro/cli.py"].replace(
-        '    parser.add_argument("--sampler")\n', ""
+        '    parser.add_argument("--eval-path")\n', ""
     )
     root = write_tree(
         tmp_path,
@@ -47,12 +47,12 @@ def test_registry_is_the_extraction_source(tmp_path) -> None:
         },
     )
     found = messages(lint(root, select=["R5"]))
-    assert any("'--sampler'" in m for m in found)
+    assert any("'--eval-path'" in m for m in found)
 
 
 def test_registry_violations_anchor_at_registry_file(tmp_path) -> None:
     cli = REGISTRY_TREE["src/repro/cli.py"].replace(
-        '    parser.add_argument("--sampler")\n', ""
+        '    parser.add_argument("--eval-path")\n', ""
     )
     root = write_tree(tmp_path, {**REGISTRY_TREE, "src/repro/cli.py": cli})
     found = messages(lint(root, select=["R5"]))
@@ -63,7 +63,7 @@ def test_registry_default_parity_checked(tmp_path) -> None:
     # A dataclass default drifting from the registry default is a violation
     # on either config class.
     config = REGISTRY_TREE["src/repro/federated/config.py"].replace(
-        'sampler: str = "permutation"', 'sampler: str = "batched"'
+        'eval_path: str = "block"', 'eval_path: str = "candidates"'
     )
     root = write_tree(tmp_path, {**REGISTRY_TREE, "src/repro/federated/config.py": config})
     found = messages(lint(root, select=["R5"]))
@@ -83,7 +83,7 @@ def test_registry_default_parity_checked(tmp_path) -> None:
 
 def test_registry_switch_missing_from_config_fails(tmp_path) -> None:
     config = REGISTRY_TREE["src/repro/federated/config.py"].replace(
-        '    sampler: str = "permutation"\n', ""
+        '    eval_path: str = "block"\n', ""
     )
     root = write_tree(tmp_path, {**REGISTRY_TREE, "src/repro/federated/config.py": config})
     found = messages(lint(root, select=["R5"]))
@@ -103,13 +103,13 @@ def test_registry_choice_needs_equivalence_coverage(tmp_path) -> None:
     # Adding a realization to a registry spec without touching the suite is
     # a red build, same as the legacy extraction guaranteed.
     registry = REGISTRY_TREE["src/repro/federated/switches.py"].replace(
-        'choices=("permutation", "batched")',
-        'choices=("permutation", "batched", "antithetic")',
+        'choices=("block", "candidates")',
+        'choices=("block", "candidates", "sketch")',
     )
     engine = REGISTRY_TREE["src/repro/federated/engine.py"].replace(
-        '    if sampler == "batched":\n        return "round stream"\n',
-        '    if sampler == "batched":\n        return "round stream"\n'
-        '    if sampler == "antithetic":\n        return "mirrored stream"\n',
+        '    if eval_path == "candidates":\n        return "candidate gather"\n',
+        '    if eval_path == "candidates":\n        return "candidate gather"\n'
+        '    if eval_path == "sketch":\n        return "sketched gather"\n',
     )
     root = write_tree(
         tmp_path,
@@ -120,8 +120,8 @@ def test_registry_choice_needs_equivalence_coverage(tmp_path) -> None:
         },
     )
     found = messages(lint(root, select=["R2"]))
-    assert any("'antithetic'" in m and "equivalence" in m for m in found)
-    assert any("'antithetic'" in m and "golden" in m for m in found)
+    assert any("'sketch'" in m and "equivalence" in m for m in found)
+    assert any("'sketch'" in m and "golden" in m for m in found)
     assert found and all(m.startswith("src/repro/federated/switches.py:") for m in found)
 
 

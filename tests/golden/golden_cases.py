@@ -10,13 +10,13 @@ by ``test_golden_histories.py``.
 
 The grid covers MF and the MLP scorer, benign and FedRecAttack runs, and
 both round engines — plus dedicated cases pinning every remaining switch
-realization (``eval_sampler="batched"``, ``sampler="batched"``,
-``eval_engine="loop"``), so each protocol switch the config exposes has at
-least one committed history per realization; the switch-parity lint rule
-(R2) enforces that invariant statically.  Every case pins every switch
-explicitly, so a silent cross-version drift of *any* stream (client RNG,
-round sampler, privacy noise, attack randomness, evaluation negatives)
-fails the suite.
+realization (``eval_path="candidates"``, ``eval_engine="loop"``, sharded
+workers, the federation-dynamics policies), so each protocol switch the
+config exposes has at least one committed history per realization; the
+switch-parity lint rule (R2) enforces that invariant statically.  Every case
+pins every switch explicitly, so a silent cross-version drift of *any*
+stream (client initialisation, round sampler, privacy noise, attack
+randomness, evaluation negatives) fails the suite.
 
 Intentional contract changes are an explicit diff: edit the case or the
 code, run ``REPRO_GOLDEN_REGEN=1 PYTHONPATH=src python
@@ -50,9 +50,7 @@ _BASE = dict(
     # Every protocol switch is pinned *explicitly* (not via config defaults)
     # so each realization below is a visible, statically checkable contract —
     # the switch-parity rule (R2) cross-checks this grid against the config.
-    sampler="permutation",
     eval_engine="vectorized",
-    eval_sampler="per-user",
     eval_path="block",
     workers=1,
 )
@@ -70,37 +68,18 @@ for _model, _model_kwargs in (("mf", {}), ("mlp", {"use_learnable_scorer": True}
                 **_mode_kwargs,
                 "engine": _engine,
             }
-# The batched evaluation stream gets its own pinned histories, so future
-# changes to its draw order are an explicit fixture diff too.
-for _mode, _mode_kwargs in (("benign", _BENIGN), ("attack", _ATTACK)):
-    GOLDEN_CASES[f"mf-{_mode}-eval-batched"] = {
-        **_BASE,
-        **_mode_kwargs,
-        "engine": "vectorized",
-        "eval_sampler": "batched",
-    }
 # The candidate-gather scoring route shares the block path's draws and rank
 # comparisons, so these histories pin the realization of the arithmetic
 # reroute itself (einsum/gathered-forward floats instead of the catalog
-# GEMM) — one benign and one attacked case, under the batched stream so the
-# gather also covers the stacked-draw segment layout.
+# GEMM) — one benign and one attacked case.
 for _mode, _mode_kwargs in (("benign", _BENIGN), ("attack", _ATTACK)):
     GOLDEN_CASES[f"mf-{_mode}-eval-candidates"] = {
         **_BASE,
         **_mode_kwargs,
         "engine": "vectorized",
-        "eval_sampler": "batched",
         "eval_path": "candidates",
     }
-# The remaining switch realizations each pin one history: the batched
-# negative sampler (one stacked round-level draw instead of per-client
-# streams) and the loop evaluation engine (per-user scoring order).
-GOLDEN_CASES["mf-benign-sampler-batched"] = {
-    **_BASE,
-    **_BENIGN,
-    "engine": "vectorized",
-    "sampler": "batched",
-}
+# The loop evaluation engine (per-user scoring order) pins one history.
 GOLDEN_CASES["mf-benign-eval-loop"] = {
     **_BASE,
     **_BENIGN,

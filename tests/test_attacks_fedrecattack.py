@@ -258,7 +258,7 @@ class TestVectorizedAttackerEquivalence:
         np.testing.assert_allclose(approximator.user_factors, expected, atol=1e-12)
 
     def test_attack_context_has_no_sampler(self, small_split, small_targets):
-        # The attacker's draw does not depend on the clients' sampler switch.
+        # The attacker always draws one stacked pass: there is no sampler knob.
         with pytest.raises(TypeError):
             AttackContext(
                 num_items=small_split.train.num_items,

@@ -6,19 +6,16 @@ The contract under test (see ``docs/architecture.md``):
   **bit-identical** between ``evaluate_snapshot(engine="loop")`` and
   ``engine="vectorized"`` — both engines read the same score blocks and
   reduce per-user contributions identically;
-* under the sampled protocol both engines consume whichever evaluation
-  stream ``eval_sampler`` selects (``"per-user"`` or ``"batched"``) through
-  the same draws, so from equal seeds the metrics are equal for every cell
-  of the {eval_engine} x {eval_sampler} grid that shares a stream;
-* the two *streams* are different realizations of the same distribution —
-  switching ``eval_sampler`` (unlike ``eval_engine``) changes sampled
-  histories, exactly like the round sampler's ``"batched"`` switch;
+* under the sampled protocol both engines consume the evaluation stream
+  (one stacked draw per score block) through the same draws, so from equal
+  seeds the metrics are equal;
+* a NaN or infinite score fails loudly with ``ModelError`` in both engines,
+  on both scoring paths and under both protocols — never a perfect metric;
 * the equivalence holds at realistic dataset shapes (the calibrated ml-100k
   and steam-200k miniatures), on handcrafted edge users (empty positives,
   all-items positives), under score ties, through the generic
   ``Recommender.score_block`` fallback, and end-to-end through
-  ``FederatedConfig.eval_engine`` / ``eval_sampler`` for both the MF and
-  the MLP-scorer model.
+  ``FederatedConfig.eval_engine`` for both the MF and the MLP-scorer model.
 """
 
 from __future__ import annotations
@@ -55,7 +52,7 @@ def _targets(dataset: InteractionDataset, count: int = 5) -> np.ndarray:
     return np.arange(min(count, dataset.num_items), dtype=np.int64)
 
 
-def _both_engines(dataset, score_block, *, block_size=7, seed=123, eval_sampler="per-user", **kwargs):
+def _both_engines(dataset, score_block, *, block_size=7, seed=123, **kwargs):
     results = []
     for engine in ("loop", "vectorized"):
         results.append(
@@ -63,7 +60,6 @@ def _both_engines(dataset, score_block, *, block_size=7, seed=123, eval_sampler=
                 score_block,
                 dataset,
                 engine=engine,
-                eval_sampler=eval_sampler,
                 block_size=block_size,
                 rng=np.random.default_rng(seed),
                 **kwargs,
@@ -72,14 +68,8 @@ def _both_engines(dataset, score_block, *, block_size=7, seed=123, eval_sampler=
     return results
 
 
-#: The sampled-protocol grid: every (num_negatives, eval_sampler) cell the
-#: equivalence suites sweep.  The full-ranking protocol consumes no stream,
-#: so it appears once.
-PROTOCOL_GRID = [
-    (None, "per-user"),
-    (99, "per-user"),
-    (99, "batched"),
-]
+#: Both protocols: full ranking, and 99 sampled negatives per user.
+PROTOCOLS = [None, 99]
 
 
 def _assert_identical(loop_result, vectorized_result):
@@ -103,15 +93,14 @@ class TestEdgeUsers:
         interactions += [(2, 0), (2, 4), (3, 7)]
         return InteractionDataset(4, num_items, interactions, name="edges")
 
-    @pytest.mark.parametrize("num_negatives,eval_sampler", PROTOCOL_GRID)
-    def test_engines_agree(self, dataset, num_negatives, eval_sampler):
+    @pytest.mark.parametrize("num_negatives", PROTOCOLS)
+    def test_engines_agree(self, dataset, num_negatives):
         rng = np.random.default_rng(5)
         score_block = _mf_score_block(dataset)
         loop_result, vectorized_result = _both_engines(
             dataset,
             score_block,
             block_size=3,
-            eval_sampler=eval_sampler,
             test_items=_test_items(dataset, rng),
             target_items=_targets(dataset, 3),
             num_negatives=num_negatives,
@@ -138,13 +127,12 @@ class TestEdgeUsers:
         # item still wins by its raw score (rank 1).
         assert loop_result.accuracy.hr_at_10 == 1.0
 
-    @pytest.mark.parametrize("eval_sampler", ["per-user", "batched"])
-    def test_sampled_protocol_with_saturated_user(self, dataset, eval_sampler):
+    def test_sampled_protocol_with_saturated_user(self, dataset):
         """A user whose positives cover the catalog draws nothing usable.
 
-        The per-user stream draws once then gives up; the batched stream
-        requests zero negatives for the saturated row.  Either way the test
-        item ranks first against an empty candidate set in both engines.
+        The stacked draw requests zero negatives for the saturated row, so
+        the test item ranks first against an empty candidate set in both
+        engines.
         """
         only_full_user = InteractionDataset(
             1, 4, [(0, 0), (0, 1), (0, 2), (0, 3)], name="full"
@@ -152,7 +140,6 @@ class TestEdgeUsers:
         loop_result, vectorized_result = _both_engines(
             only_full_user,
             _mf_score_block(only_full_user),
-            eval_sampler=eval_sampler,
             test_items=np.array([2]),
             num_negatives=10,
         )
@@ -194,16 +181,14 @@ class TestScoreTies:
         )
         _assert_identical(loop_result, vectorized_result)
 
-    @pytest.mark.parametrize("eval_sampler", ["per-user", "batched"])
-    def test_sampled_protocol_under_ties(self, eval_sampler):
-        """All-ties scores through the sampled protocol, both streams."""
+    def test_sampled_protocol_under_ties(self):
+        """All-ties scores through the sampled protocol."""
         dataset = InteractionDataset(3, 8, [(0, 1), (1, 2), (1, 3)], name="ties")
         constant = np.zeros((3, 8))
         score_block = lambda users: constant[users]  # noqa: E731
         loop_result, vectorized_result = _both_engines(
             dataset,
             score_block,
-            eval_sampler=eval_sampler,
             test_items=np.array([4, 5, 6]),
             num_negatives=5,
         )
@@ -214,9 +199,9 @@ class TestScoreTies:
 
 
 @pytest.mark.parametrize("shape", ["ml-100k-mini", "steam-200k-mini"])
-@pytest.mark.parametrize("num_negatives,eval_sampler", PROTOCOL_GRID)
+@pytest.mark.parametrize("num_negatives", PROTOCOLS)
 class TestRealisticShapes:
-    def test_engines_agree(self, shape, num_negatives, eval_sampler):
+    def test_engines_agree(self, shape, num_negatives):
         preset = get_preset(shape)
         dataset = generate_synthetic_dataset(
             SyntheticConfig.from_preset(preset),
@@ -227,7 +212,6 @@ class TestRealisticShapes:
             dataset,
             _mf_score_block(dataset, seed=3),
             block_size=64,
-            eval_sampler=eval_sampler,
             test_items=_test_items(dataset, rng),
             target_items=_targets(dataset, 5),
             num_negatives=num_negatives,
@@ -236,8 +220,8 @@ class TestRealisticShapes:
         assert loop_result.accuracy.num_evaluated_users > 0
 
 
-class TestBatchedStreamContract:
-    """Direct contract tests of the ``"batched"`` evaluation stream."""
+class TestEvaluationStreamContract:
+    """Direct contract tests of the evaluation stream."""
 
     @pytest.fixture()
     def setup(self):
@@ -253,25 +237,30 @@ class TestBatchedStreamContract:
         test_items[::5] = -1
         return dataset, test_items
 
-    def test_stream_differs_from_per_user(self, setup):
-        """``eval_sampler`` switches realizations, like the round sampler."""
+    def test_standalone_loop_draws_one_block(self, setup):
+        """Without predrawn negatives the loop metrics draw every user in one
+        stacked pass: the realization of a single whole-population block."""
+        from repro.metrics.accuracy import evaluate_accuracy
+
         dataset, test_items = setup
         score_block = _mf_score_block(dataset, seed=9)
-        results = {
-            sampler: evaluate_snapshot(
-                score_block,
-                dataset,
-                test_items=test_items,
-                num_negatives=25,
-                rng=np.random.default_rng(3),
-                eval_sampler=sampler,
-            )
-            for sampler in ("per-user", "batched")
-        }
-        assert (
-            results["per-user"].accuracy.ndcg_at_10
-            != results["batched"].accuracy.ndcg_at_10
+        scores = score_block(np.arange(dataset.num_users, dtype=np.int64))
+        standalone = evaluate_accuracy(
+            lambda user: scores[user],
+            dataset,
+            test_items,
+            num_negatives=25,
+            rng=np.random.default_rng(3),
         )
+        one_block = evaluate_snapshot(
+            score_block,
+            dataset,
+            test_items=test_items,
+            num_negatives=25,
+            rng=np.random.default_rng(3),
+            block_size=dataset.num_users,
+        )
+        assert standalone == one_block.accuracy
 
     def test_first_round_draws_are_partition_independent(self, setup):
         """``rng.integers`` consumes the bit stream sequentially, so when
@@ -289,7 +278,6 @@ class TestBatchedStreamContract:
                 test_items=test_items,
                 num_negatives=25,
                 rng=np.random.default_rng(3),
-                eval_sampler="batched",
                 block_size=block_size,
             )
 
@@ -338,14 +326,14 @@ class TestValidation:
                 engine="warp",
             )
 
-    def test_unknown_eval_sampler_rejected(self):
+    def test_eval_sampler_is_not_a_parameter(self):
         dataset = InteractionDataset(2, 3, [(0, 0)])
-        with pytest.raises(ModelError):
+        with pytest.raises(TypeError):
             evaluate_snapshot(
                 lambda users: np.zeros((users.shape[0], 3)),
                 dataset,
                 test_items=np.array([1, 1]),
-                eval_sampler="magic",
+                eval_sampler="batched",
             )
 
     def test_bad_block_size_rejected(self):
@@ -435,8 +423,8 @@ class TestGenericScorerFallback:
         test_items[::4] = -1
         return DotScorer(), user_factors, item_factors, dataset, test_items
 
-    @pytest.mark.parametrize("num_negatives,eval_sampler", PROTOCOL_GRID)
-    def test_fallback_matches_mf_path(self, setup, num_negatives, eval_sampler):
+    @pytest.mark.parametrize("num_negatives", PROTOCOLS)
+    def test_fallback_matches_mf_path(self, setup, num_negatives):
         scorer, user_factors, item_factors, dataset, test_items = setup
         model = MatrixFactorizationModel(
             dataset.num_users, dataset.num_items, user_factors.shape[1], rng=0
@@ -447,7 +435,6 @@ class TestGenericScorerFallback:
             test_items=test_items,
             target_items=_targets(dataset, 4),
             num_negatives=num_negatives,
-            eval_sampler=eval_sampler,
             block_size=5,
         )
         results = {}
@@ -497,13 +484,12 @@ class TestSimulationIntegration:
         targets = np.array([0, 1], dtype=np.int64)
         return dataset, test_items, targets
 
-    def _run(self, dataset, test_items, targets, eval_engine, eval_sampler="per-user", **config_kwargs):
+    def _run(self, dataset, test_items, targets, eval_engine, **config_kwargs):
         config = FederatedConfig(
             num_factors=8,
             clients_per_round=8,
             num_epochs=4,
             eval_engine=eval_engine,
-            eval_sampler=eval_sampler,
             **config_kwargs,
         )
         simulation = FederatedSimulation(
@@ -517,19 +503,14 @@ class TestSimulationIntegration:
         )
         return simulation.run()
 
-    @pytest.mark.parametrize("eval_sampler", ["per-user", "batched"])
     @pytest.mark.parametrize("use_scorer", [False, True])
-    def test_histories_identical_across_eval_engines(
-        self, small_setup, use_scorer, eval_sampler
-    ):
+    def test_histories_identical_across_eval_engines(self, small_setup, use_scorer):
         dataset, test_items, targets = small_setup
         loop_run = self._run(
-            dataset, test_items, targets, "loop", eval_sampler,
-            use_learnable_scorer=use_scorer,
+            dataset, test_items, targets, "loop", use_learnable_scorer=use_scorer
         )
         vectorized_run = self._run(
-            dataset, test_items, targets, "vectorized", eval_sampler,
-            use_learnable_scorer=use_scorer,
+            dataset, test_items, targets, "vectorized", use_learnable_scorer=use_scorer
         )
         assert len(loop_run.history) == len(vectorized_run.history)
         for loop_epoch, vectorized_epoch in zip(
@@ -538,21 +519,6 @@ class TestSimulationIntegration:
             assert loop_epoch.training_loss == vectorized_epoch.training_loss
             assert loop_epoch.accuracy == vectorized_epoch.accuracy
             assert loop_epoch.exposure == vectorized_epoch.exposure
-
-    def test_eval_sampler_switch_changes_only_sampled_metrics(self, small_setup):
-        """Training is untouched by the evaluation stream: losses match
-        exactly across ``eval_sampler`` values, only the sampled accuracy
-        realization moves."""
-        dataset, test_items, targets = small_setup
-        per_user = self._run(dataset, test_items, targets, "vectorized", "per-user")
-        batched = self._run(dataset, test_items, targets, "vectorized", "batched")
-        for a, b in zip(per_user.history.records, batched.history.records):
-            assert a.training_loss == b.training_loss
-            assert a.exposure == b.exposure  # full-rank exposure: stream-free
-        assert (
-            per_user.final_hr_at_10 != batched.final_hr_at_10
-            or per_user.accuracy.ndcg_at_10 != batched.accuracy.ndcg_at_10
-        )
 
     def test_full_rank_histories_identical(self, small_setup):
         dataset, test_items, targets = small_setup
@@ -578,3 +544,93 @@ class TestSimulationIntegration:
         ):
             assert loop_epoch.accuracy == vectorized_epoch.accuracy
             assert loop_epoch.exposure == vectorized_epoch.exposure
+
+
+class TestNonFiniteScores:
+    """NaN or infinite scores raise instead of ranking as perfect hits."""
+
+    @pytest.fixture()
+    def dataset(self):
+        rng = np.random.default_rng(43)
+        pairs = [
+            (user, item)
+            for user in range(12)
+            for item in rng.choice(20, size=3, replace=False)
+        ]
+        return InteractionDataset(12, 20, pairs, name="non-finite")
+
+    @staticmethod
+    def _test_items(dataset):
+        """Each user's lowest-id non-positive item."""
+        store = dataset.interaction_store()
+        return np.array(
+            [np.flatnonzero(~store.mask_row(user))[0] for user in range(dataset.num_users)],
+            dtype=np.int64,
+        )
+
+    def _scores(self, dataset, kind):
+        scores = np.random.default_rng(0).normal(size=(dataset.num_users, dataset.num_items))
+        if kind == "all-nan":
+            scores[:] = np.nan
+        else:
+            # One +inf, on user 10's test item: every path reads that score.
+            scores[10, self._test_items(dataset)[10]] = np.inf
+        return scores
+
+    @pytest.mark.parametrize("kind", ["all-nan", "one-inf"])
+    @pytest.mark.parametrize("engine", ["loop", "vectorized"])
+    @pytest.mark.parametrize("eval_path", ["block", "candidates"])
+    @pytest.mark.parametrize("num_negatives", [None, 5])
+    def test_accuracy_raises(self, dataset, kind, engine, eval_path, num_negatives):
+        scores = self._scores(dataset, kind)
+        with pytest.raises(ModelError, match="non-finite"):
+            evaluate_snapshot(
+                lambda users: scores[users],
+                dataset,
+                test_items=self._test_items(dataset),
+                num_negatives=num_negatives,
+                rng=np.random.default_rng(1),
+                engine=engine,
+                eval_path=eval_path,
+                block_size=5,
+            )
+
+    @pytest.mark.parametrize("engine", ["loop", "vectorized"])
+    def test_candidate_gather_is_checked(self, dataset, engine):
+        """The candidates path never scores a block: its own gather is checked."""
+        from repro.models.mf import MatrixFactorizationModel
+
+        model = MatrixFactorizationModel(dataset.num_users, dataset.num_items, 4, rng=0)
+        model.user_factors[10] = np.nan
+        with pytest.raises(ModelError, match="score_candidates"):
+            evaluate_snapshot(
+                model,
+                dataset,
+                test_items=self._test_items(dataset),
+                num_negatives=5,
+                rng=np.random.default_rng(1),
+                engine=engine,
+                eval_path="candidates",
+                block_size=5,
+            )
+
+    @pytest.mark.parametrize("kind", ["all-nan", "one-inf"])
+    @pytest.mark.parametrize("engine", ["loop", "vectorized"])
+    def test_exposure_raises(self, dataset, kind, engine):
+        scores = self._scores(dataset, kind)
+        with pytest.raises(ModelError, match="non-finite"):
+            evaluate_snapshot(
+                lambda users: scores[users],
+                dataset,
+                target_items=np.array([0, 1]),
+                engine=engine,
+                block_size=5,
+            )
+
+    def test_incremental_cache_raises(self, dataset):
+        from repro.metrics.topk_cache import TopKCache
+
+        scores = self._scores(dataset, "all-nan")
+        cache = TopKCache(dataset, test_items=np.zeros(dataset.num_users, dtype=np.int64))
+        with pytest.raises(ModelError, match="non-finite"):
+            cache.evaluate(lambda users: scores[users])

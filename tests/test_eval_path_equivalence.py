@@ -8,15 +8,14 @@ The contract under test (see ``docs/architecture.md``):
   bit-identically; the native kernels exactly on integer-valued parameters,
   where every contraction is exact regardless of summation order);
 * ``evaluate_snapshot(eval_path="candidates")`` reports the same sampled
-  metrics as ``eval_path="block"`` for every cell of the
-  {eval_engine} x {eval_sampler} grid — the negative draws, their stream
-  order and the rank comparisons are shared, only the arithmetic route to
-  the candidate scores differs;
+  metrics as ``eval_path="block"`` under either evaluation engine — the
+  negative draws, their stream order and the rank comparisons are shared,
+  only the arithmetic route to the candidate scores differs;
 * the incremental :class:`~repro.metrics.TopKCache` is bit-identical to a
   cold :func:`~repro.metrics.evaluation.evaluate_snapshot` across
   multi-epoch (attacked) training histories while provably *not* rescoring
   clean blocks;
-* the regression fixes ride along: the batched stream survives mixed
+* the regression fixes ride along: the evaluation stream survives mixed
   empty/full draw segments and invalid users mid-block (and rejects short
   segments loudly), ``_top_k_thresholds`` enforces its cutoff
   precondition, and the loop engine validates each score block's shape as
@@ -193,22 +192,17 @@ def _edge_test_items(dataset: InteractionDataset) -> np.ndarray:
     return items.astype(np.int64)
 
 
-#: Every (eval_engine, eval_sampler) cell; within each, "block" and
-#: "candidates" must realize the same metrics.
-ENGINE_SAMPLER_GRID = [
-    ("loop", "per-user"),
-    ("loop", "batched"),
-    ("vectorized", "per-user"),
-    ("vectorized", "batched"),
-]
+#: Both evaluation engines; within each, "block" and "candidates" must
+#: realize the same metrics.
+ENGINES = ["loop", "vectorized"]
 
 
 class TestEvalPathEquivalence:
     """evaluate_snapshot: eval_path="candidates" vs eval_path="block"."""
 
-    @pytest.mark.parametrize("engine,eval_sampler", ENGINE_SAMPLER_GRID)
+    @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("num_negatives", [3, 19])
-    def test_paths_agree_across_grid(self, engine, eval_sampler, num_negatives):
+    def test_paths_agree_across_grid(self, engine, num_negatives):
         dataset = _edge_dataset()
         model = _integer_mf(dataset.num_users, dataset.num_items)
         test_items = _edge_test_items(dataset)
@@ -222,7 +216,6 @@ class TestEvalPathEquivalence:
                 num_negatives=num_negatives,
                 rng=np.random.default_rng(31),
                 engine=engine,
-                eval_sampler=eval_sampler,
                 eval_path=eval_path,
                 block_size=4,
             )
@@ -244,7 +237,6 @@ class TestEvalPathEquivalence:
                 num_negatives=4,
                 rng=np.random.default_rng(37),
                 engine=engine,
-                eval_sampler="batched",
                 eval_path=eval_path,
                 block_size=4,
             )
@@ -421,8 +413,8 @@ class TestTopKCache:
             )
 
 
-class TestBatchedStreamRegression:
-    """The mixed empty/full segment gather of the batched sampled stream."""
+class TestStreamSegmentRegression:
+    """The mixed empty/full segment gather of the sampled stream."""
 
     @pytest.mark.parametrize("eval_path", ["block", "candidates"])
     def test_mixed_segments_mid_block(self, eval_path):
@@ -438,7 +430,6 @@ class TestBatchedStreamRegression:
                 num_negatives=5,
                 rng=np.random.default_rng(41),
                 engine=engine,
-                eval_sampler="batched",
                 eval_path=eval_path,
                 block_size=4,
             )
@@ -476,7 +467,6 @@ class TestBatchedStreamRegression:
                 num_negatives=5,
                 rng=np.random.default_rng(43),
                 engine="vectorized",
-                eval_sampler="batched",
                 block_size=4,
             )
 

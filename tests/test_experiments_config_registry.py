@@ -59,6 +59,38 @@ class TestExperimentConfig:
         assert ExperimentConfig().rho == pytest.approx(0.05)
 
 
+class TestRemovedSamplerKnobs:
+    """The negative streams are fixed: the two sampler switches are gone."""
+
+    @pytest.mark.parametrize("knob", ["sampler", "eval_sampler"])
+    def test_experiment_config_rejects_knob(self, knob):
+        with pytest.raises(TypeError):
+            ExperimentConfig(**{knob: "batched"})
+
+    @pytest.mark.parametrize("knob", ["sampler", "eval_sampler"])
+    def test_federated_config_rejects_knob(self, knob):
+        from repro.federated.config import FederatedConfig
+
+        with pytest.raises(TypeError):
+            FederatedConfig(**{knob: "batched"})
+
+    def test_bench_profile_pins_no_sampler(self):
+        from dataclasses import replace
+
+        with pytest.raises(TypeError):
+            replace(BENCH_PROFILE, sampler="batched")
+        applied = BENCH_PROFILE.apply(ExperimentConfig())
+        assert not hasattr(applied, "sampler")
+        assert not hasattr(applied, "eval_sampler")
+
+    def test_registry_has_fourteen_switches(self):
+        from repro.federated.switches import SWITCH_REGISTRY, switch_names
+
+        assert len(SWITCH_REGISTRY) == 14
+        assert "sampler" not in switch_names()
+        assert "eval_sampler" not in switch_names()
+
+
 class TestProfiles:
     def test_paper_profile_keeps_dataset_and_scale(self):
         config = PAPER_PROFILE.apply(ExperimentConfig(dataset="ml-100k"))

@@ -191,7 +191,7 @@ class TestCLI:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["table", "42"])
 
-    def test_run_command_engine_and_sampler_flags(self, capsys):
+    def test_run_command_engine_flags(self, capsys):
         exit_code = main(
             [
                 "run",
@@ -202,7 +202,6 @@ class TestCLI:
                 "--factors", "8",
                 "--clients-per-round", "32",
                 "--engine", "vectorized",
-                "--sampler", "batched",
                 "--fuse-rounds", "2",
             ]
         )
@@ -213,12 +212,17 @@ class TestCLI:
         "flags",
         (
             ["--engine", "warp"],
-            ["--sampler", "alias"],
+            ["--eval-path", "alias"],
             ["--fuse-rounds", "0"],
             # The *pair* is validated: fusion requires the vectorized engine.
             ["--engine", "loop", "--fuse-rounds", "2"],
         ),
     )
-    def test_invalid_engine_sampler_pairs_rejected(self, flags):
+    def test_invalid_switch_values_rejected(self, flags):
         with pytest.raises(ConfigurationError):
             main(["run", "--dataset", "ml-100k", "--attack", "none", *flags])
+
+    @pytest.mark.parametrize("flag", ["--sampler", "--eval-sampler"])
+    def test_removed_sampler_flags_rejected(self, flag):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run", flag, "batched"])

@@ -95,6 +95,28 @@ class TestBenignClient:
             item_factors = item_factors - 0.1 * update.to_dense(NUM_ITEMS, NUM_FACTORS)
         assert np.mean(losses[-5:]) < np.mean(losses[:5])
 
+    def test_construction_leaves_the_stream_after_the_user_vector(self):
+        # The constructor draws the user vector and nothing else: the first
+        # round fills the negatives from the round stream.
+        client = _benign_client(seed=7)
+        expected = np.random.default_rng(7)
+        expected.normal(0.0, 0.01, size=NUM_FACTORS)
+        assert client._rng.bit_generator.state == expected.bit_generator.state
+        assert client.needs_fresh_negatives
+        fixed = _benign_client(seed=7, resample_negatives=False)
+        assert fixed.needs_fresh_negatives
+
+    def test_accepted_negatives_are_reused_without_resampling(self, rng):
+        client = _benign_client(positives=range(4), resample_negatives=False)
+        negatives = np.array([10, 11, 12, 13], dtype=np.int64)
+        client.accept_negatives(negatives)
+        assert not client.needs_fresh_negatives
+        state = client._rng.bit_generator.state
+        positives, drawn = client.draw_pairs()
+        np.testing.assert_array_equal(drawn, negatives)
+        np.testing.assert_array_equal(positives, np.arange(4))
+        assert client._rng.bit_generator.state == state
+
     def test_participation_counter(self, rng):
         client = _benign_client()
         item_factors = rng.normal(size=(NUM_ITEMS, NUM_FACTORS))

@@ -1,14 +1,9 @@
 """Loop-vs-vectorized round engine equivalence.
 
-Both engines draw every client's training pairs through the same sampler
-streams — per-client streams under ``sampler="permutation"``, one shared
-round-level stream under ``sampler="batched"`` — so from identical master
-seeds they must produce matching training histories, metrics and final
-parameters, differing at most by floating-point summation order.  The suite
-therefore pins *two* training realizations per scenario (one per sampler),
-and additionally checks that the two samplers genuinely differ (a batched
-draw silently falling back to the permutation stream would erase the
-documented RNG-contract distinction).
+Both engines draw every round's training pairs through the same stacked
+draw from the shared round-level stream, so from identical master seeds they
+must produce matching training histories, metrics and final parameters,
+differing at most by floating-point summation order.
 """
 
 from __future__ import annotations
@@ -39,7 +34,6 @@ def _run(
     engine,
     attack=None,
     num_malicious=0,
-    sampler="permutation",
     **config_kwargs,
 ):
     defaults = dict(
@@ -48,7 +42,6 @@ def _run(
         clients_per_round=32,
         num_epochs=4,
         engine=engine,
-        sampler=sampler,
     )
     defaults.update(config_kwargs)
     simulation = FederatedSimulation(
@@ -82,19 +75,14 @@ def _assert_equivalent(result_a, result_b):
         assert result_a.exposure.er_at_10 == pytest.approx(result_b.exposure.er_at_10, abs=0.02)
 
 
-SAMPLERS = ("permutation", "batched")
-
-
 class TestEngineEquivalence:
-    @pytest.mark.parametrize("sampler", SAMPLERS)
-    def test_mf_path(self, small_split, small_targets, sampler):
-        result_loop, _ = _run(small_split, small_targets, "loop", sampler=sampler)
-        result_vec, _ = _run(small_split, small_targets, "vectorized", sampler=sampler)
+    def test_mf_path(self, small_split, small_targets):
+        result_loop, _ = _run(small_split, small_targets, "loop")
+        result_vec, _ = _run(small_split, small_targets, "vectorized")
         _assert_equivalent(result_loop, result_vec)
 
-    @pytest.mark.parametrize("sampler", SAMPLERS)
-    def test_mlp_scorer_path(self, small_split, small_targets, sampler):
-        kwargs = dict(use_learnable_scorer=True, scorer_hidden_units=8, sampler=sampler)
+    def test_mlp_scorer_path(self, small_split, small_targets):
+        kwargs = dict(use_learnable_scorer=True, scorer_hidden_units=8)
         result_loop, sim_loop = _run(small_split, small_targets, "loop", **kwargs)
         result_vec, sim_vec = _run(small_split, small_targets, "vectorized", **kwargs)
         _assert_equivalent(result_loop, result_vec)
@@ -104,35 +92,27 @@ class TestEngineEquivalence:
             atol=FACTOR_ATOL,
         )
 
-    @pytest.mark.parametrize("sampler", SAMPLERS)
-    def test_l2_regularised_path(self, small_split, small_targets, sampler):
-        result_loop, _ = _run(small_split, small_targets, "loop", l2_reg=0.01, sampler=sampler)
-        result_vec, _ = _run(
-            small_split, small_targets, "vectorized", l2_reg=0.01, sampler=sampler
-        )
+    def test_l2_regularised_path(self, small_split, small_targets):
+        result_loop, _ = _run(small_split, small_targets, "loop", l2_reg=0.01)
+        result_vec, _ = _run(small_split, small_targets, "vectorized", l2_reg=0.01)
         _assert_equivalent(result_loop, result_vec)
 
-    @pytest.mark.parametrize("sampler", SAMPLERS)
-    def test_privacy_noise_path(self, small_split, small_targets, sampler):
+    def test_privacy_noise_path(self, small_split, small_targets):
         # Noise is drawn per client in upload order by both engines, so even
         # the noisy trajectories must coincide.
-        kwargs = dict(noise_scale=0.1, clip_benign_gradients=True, sampler=sampler)
+        kwargs = dict(noise_scale=0.1, clip_benign_gradients=True)
         result_loop, _ = _run(small_split, small_targets, "loop", **kwargs)
         result_vec, _ = _run(small_split, small_targets, "vectorized", **kwargs)
         _assert_equivalent(result_loop, result_vec)
 
-    def test_sampler_realizations_differ(self, small_split, small_targets):
-        # The two samplers are both exact uniform draws but consume different
-        # RNG streams: the trained parameters must not coincide (they would if
-        # the batched engine quietly fell back to per-client permutation
-        # draws, which would defeat its documented contract).
-        result_perm, _ = _run(small_split, small_targets, "vectorized")
-        result_batched, _ = _run(
-            small_split, small_targets, "vectorized", sampler="batched"
-        )
-        assert not np.allclose(
-            result_perm.item_factors, result_batched.item_factors, atol=1e-9
-        )
+    def test_fixed_negatives_path(self, small_split, small_targets):
+        # Without per-epoch resampling each client keeps the sample its first
+        # round drew from the round stream; both engines must agree on which
+        # clients draw and which reuse.
+        kwargs = dict(resample_negatives_each_epoch=False)
+        result_loop, _ = _run(small_split, small_targets, "loop", **kwargs)
+        result_vec, _ = _run(small_split, small_targets, "vectorized", **kwargs)
+        _assert_equivalent(result_loop, result_vec)
 
     def test_under_attack(self, small_split, small_targets):
         result_loop, _ = _run(
@@ -148,14 +128,13 @@ class TestEngineEquivalence:
         _assert_equivalent(result_loop, result_vec)
         assert result_loop.final_er_at_5 == pytest.approx(result_vec.final_er_at_5, abs=0.02)
 
-    @pytest.mark.parametrize("sampler", SAMPLERS)
-    def test_under_fedrecattack(self, small_split, small_public, small_targets, sampler):
+    def test_under_fedrecattack(self, small_split, small_public, small_targets):
         # The full attacker pipeline switches with the engine: the loop run
         # uses the per-user approximation and attack-loss reference, the
         # vectorized run the stacked implementations.  Both consume identical
-        # random streams per sampler (the sampler selects the clients' draws;
-        # the approximation's one stacked draw per epoch is shared by both
-        # engines), so the histories must still coincide.
+        # random streams (the round stream for the clients' draws, one stacked
+        # approximation draw per epoch from the attack stream), so the
+        # histories must still coincide.
         def make_attack():
             return FedRecAttack(
                 small_public,
@@ -170,7 +149,6 @@ class TestEngineEquivalence:
             "loop",
             attack=make_attack(),
             num_malicious=4,
-            sampler=sampler,
         )
         result_vec, sim_vec = _run(
             small_split,
@@ -178,7 +156,6 @@ class TestEngineEquivalence:
             "vectorized",
             attack=make_attack(),
             num_malicious=4,
-            sampler=sampler,
         )
         _assert_equivalent(result_loop, result_vec)
         assert result_loop.final_er_at_5 == pytest.approx(result_vec.final_er_at_5, abs=0.02)
@@ -186,15 +163,13 @@ class TestEngineEquivalence:
             sim_vec.attack.last_attack_loss, rel=1e-6, abs=1e-9
         )
 
-    @pytest.mark.parametrize("sampler", SAMPLERS)
-    def test_under_pipattack(self, small_split, small_targets, sampler):
+    def test_under_pipattack(self, small_split, small_targets):
         result_loop, _ = _run(
             small_split,
             small_targets,
             "loop",
             attack=PipAttack(),
             num_malicious=4,
-            sampler=sampler,
         )
         result_vec, _ = _run(
             small_split,
@@ -202,7 +177,6 @@ class TestEngineEquivalence:
             "vectorized",
             attack=PipAttack(),
             num_malicious=4,
-            sampler=sampler,
         )
         _assert_equivalent(result_loop, result_vec)
 

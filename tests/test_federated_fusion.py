@@ -27,9 +27,6 @@ from repro.federated.config import FederatedConfig
 from repro.federated.simulation import FederatedSimulation
 from repro.rng import SeedSequenceFactory
 
-SAMPLERS = ("permutation", "batched")
-
-
 def _simulation(small_split, small_targets, fuse_rounds, attack=None, num_malicious=0, **kw):
     defaults = dict(
         num_factors=8,
@@ -69,11 +66,10 @@ class TestFusionConfig:
 
 
 class TestFusionKernel:
-    @pytest.mark.parametrize("sampler", SAMPLERS)
-    def test_window_of_one_is_bit_identical(self, small_split, small_targets, sampler):
+    def test_window_of_one_is_bit_identical(self, small_split, small_targets):
         """train_rounds([ids]) must reproduce train_round(ids) exactly."""
-        sim_a = _simulation(small_split, small_targets, 1, sampler=sampler)
-        sim_b = _simulation(small_split, small_targets, 1, sampler=sampler)
+        sim_a = _simulation(small_split, small_targets, 1)
+        sim_b = _simulation(small_split, small_targets, 1)
         batch = [int(c) for c in sorted(sim_a.benign_clients)[:16]]
         updates_a, loss_a = sim_a._trainer.train_round(
             batch, sim_a.server.item_factors, None
@@ -120,10 +116,9 @@ class TestFusionKernel:
 
 class TestFusionProtocol:
     @pytest.mark.parametrize("fuse_rounds", (2, 3))
-    @pytest.mark.parametrize("sampler", SAMPLERS)
-    def test_bookkeeping_matches_unfused(self, small_split, small_targets, fuse_rounds, sampler):
-        fused = _simulation(small_split, small_targets, fuse_rounds, sampler=sampler)
-        plain = _simulation(small_split, small_targets, 1, sampler=sampler)
+    def test_bookkeeping_matches_unfused(self, small_split, small_targets, fuse_rounds):
+        fused = _simulation(small_split, small_targets, fuse_rounds)
+        plain = _simulation(small_split, small_targets, 1)
         result_fused = fused.run()
         result_plain = plain.run()
         assert fused.server.rounds_applied == plain.server.rounds_applied
@@ -186,8 +181,7 @@ class TestFusionProtocol:
         simulation.run(num_epochs=1)
         assert norms and max(norms) <= 0.05 + 1e-12
 
-    @pytest.mark.parametrize("sampler", SAMPLERS)
-    def test_attack_rounds_fused(self, small_split, small_public, small_targets, sampler):
+    def test_attack_rounds_fused(self, small_split, small_public, small_targets):
         attack = FedRecAttack(
             small_public,
             FedRecAttackConfig(kappa=12, approx_epochs_initial=2, approx_epochs_per_round=1),
@@ -199,7 +193,6 @@ class TestFusionProtocol:
             3,
             attack=attack,
             num_malicious=4,
-            sampler=sampler,
         )
         simulation.update_observer = lambda round_index, updates: malicious_seen.extend(
             round_index for u in updates if u.is_malicious
@@ -214,7 +207,6 @@ class TestFusionProtocol:
             small_split,
             small_targets,
             4,
-            sampler="batched",
             num_epochs=60,
             learning_rate=0.1,
         ).run()

@@ -1,14 +1,16 @@
 """Statistical and contract tests for the negative-sampling engines.
 
-The two *training* engines claim the same distribution — an exact uniform
-draw without replacement from the complement of the user's positives — while
-consuming different RNG streams.  These tests check the distributional claim
+The two *training* draws — the stacked round draw and the one-user
+permutation draw kept for fake-profile training and ``NegativeSampler`` —
+claim the same distribution, an exact uniform draw without replacement from
+the complement of the user's positives, while consuming different RNG
+streams.  These tests check the distributional claim
 (chi-square uniformity over the item catalog), the hard constraints
 (positives never sampled, no duplicates, counts capped at the complement
 size), and fixed-seed reproducibility, parametrized over both engines and
 over empty / sparse / dense user histories.
 
-The *evaluation* side's batched ranking stream
+The *evaluation* side's ranking stream
 (:func:`sample_ranking_negatives_batched`, drawn **with** replacement and
 excluding each row's test item) gets the same treatment: uniformity over the
 free items, positives/test-item never sampled, and per-seed reproducibility.
@@ -108,6 +110,16 @@ def test_engines_share_distribution_statistics(engine):
     rng = np.random.default_rng(8)
     means = [float(_draw(engine, rng, 10, positives).mean()) for _ in range(500)]
     assert abs(np.mean(means) - free.mean()) < 1.0
+
+
+def test_permutation_draw_owns_its_memory():
+    """A slice would pin the whole filtered catalog permutation."""
+    negatives = sample_uniform_negatives(
+        np.random.default_rng(2), NUM_ITEMS, 3, _mask(HISTORIES["sparse"])
+    )
+    assert negatives.shape == (3,)
+    assert negatives.base is None
+    assert negatives.flags.owndata
 
 
 class TestBatchedSpecifics:

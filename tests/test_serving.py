@@ -11,8 +11,9 @@ The contracts under test (see ``docs/architecture.md``):
   queries, and :func:`exposure_under_serving` equals evaluating the
   snapshot's model directly;
 * **cache discipline** — repeat queries are memoised (same object back),
-  ``swap_snapshot`` atomically drops every cache entry, and the block cache
-  honours its LRU bound;
+  ``swap_snapshot`` atomically drops every cache entry and prewarms the new
+  snapshot's blocks into the retired arrays, and the block cache honours its
+  LRU bound;
 * **error surface** — every invalid construction or query raises
   :class:`~repro.exceptions.ServingError` with an actionable message.
 """
@@ -103,6 +104,17 @@ class TestFactorSnapshot:
     def test_model_is_cached(self):
         snapshot = _snapshot()
         assert snapshot.model() is snapshot.model()
+
+    @pytest.mark.parametrize("with_scorer", [False, True])
+    def test_score_block_into_a_buffer_is_bit_identical(self, with_scorer):
+        model = _model()
+        scorer = MLPScorer(num_factors=NUM_FACTORS, rng=1) if with_scorer else None
+        snapshot = FactorSnapshot(model.user_factors, model.item_factors, scorer=scorer)
+        users = np.arange(3, 17, dtype=np.int64)
+        buffer = np.full((users.shape[0], NUM_ITEMS), np.nan)
+        written = snapshot.score_block(users, out=buffer)
+        assert written is buffer
+        np.testing.assert_array_equal(buffer, snapshot.model().score_block(users))
 
     def test_shape_and_version_properties(self):
         snapshot = _snapshot(version=7)
@@ -282,20 +294,95 @@ class TestCaches:
 
 class TestSnapshotSwap:
     def test_swap_invalidates_every_cache(self):
-        service = RecommenderService(_snapshot(seed=4, version=1), _dataset())
+        service = RecommenderService(
+            _snapshot(seed=4, version=1), _dataset(), block_size=10
+        )
         stale = service.top_k(3)
         assert stale.snapshot_version == 1
-        service.swap_snapshot(_snapshot(seed=99, version=2))
+        new_snapshot = _snapshot(seed=99, version=2)
+        service.swap_snapshot(new_snapshot)
         stats = service.stats()
         assert stats["snapshot_swaps"] == 1
         assert stats["snapshot_version"] == 2
-        assert stats["cached_blocks"] == 0 and stats["memo_entries"] == 0
+        assert stats["memo_entries"] == 0
+        # The swap prewarmed every block, and every cached row is the new
+        # snapshot's: none survives from the old one.
+        blocks = user_blocks(NUM_USERS, 10)
+        assert stats["cached_blocks"] == len(blocks)
+        for index, (lo, hi) in enumerate(blocks):
+            np.testing.assert_array_equal(
+                service._block_scores[index],
+                new_snapshot.model().score_block(np.arange(lo, hi, dtype=np.int64)),
+            )
         fresh = service.top_k(3)
         assert fresh is not stale
         assert fresh.snapshot_version == 2
         # The stale answer keeps its provenance; the fresh one differs.
         assert stale.snapshot_version == 1
         assert not np.array_equal(fresh.scores, stale.scores)
+
+    def test_swap_scores_every_block_into_the_retired_arrays(self):
+        service = RecommenderService(
+            _snapshot(seed=4, version=1), _dataset(), block_size=10
+        )
+        service.top_k_batch(list(range(NUM_USERS)))
+        retired = dict(service._block_scores)
+        scored = service.stats()["blocks_scored"]
+        new_snapshot = _snapshot(seed=99, version=2)
+        service.swap_snapshot(new_snapshot)
+        blocks = user_blocks(NUM_USERS, 10)
+        assert service.stats()["blocks_scored"] == scored + len(blocks)
+        for index, (lo, hi) in enumerate(blocks):
+            rows = service._block_scores[index]
+            assert rows is retired[index]
+            assert not rows.flags.writeable
+            # Bit-identical to a fresh product of the new snapshot.
+            np.testing.assert_array_equal(
+                rows, new_snapshot.model().score_block(np.arange(lo, hi, dtype=np.int64))
+            )
+        for user in range(NUM_USERS):
+            np.testing.assert_array_equal(
+                service.top_k(user).items,
+                RecommenderService(new_snapshot, _dataset(), block_size=10).top_k(user).items,
+            )
+
+    def test_bounded_cache_skips_the_prewarm(self):
+        service = RecommenderService(
+            _snapshot(seed=4, version=1), _dataset(), block_size=10, max_cached_blocks=2
+        )
+        service.top_k(0)
+        service.swap_snapshot(_snapshot(seed=99, version=2))
+        stats = service.stats()
+        assert stats["blocks_scored"] == 1
+        assert stats["cached_blocks"] == 0
+
+    def test_newer_swap_stops_an_older_prewarm(self):
+        service = RecommenderService(
+            _snapshot(seed=4, version=1), _dataset(), block_size=10
+        )
+        newest = _snapshot(seed=7, version=3)
+        original = service._block_rows
+        superseded = []
+
+        def block_rows(block_index):
+            # A swap lands between the older prewarm's blocks.
+            if block_index == 1 and not superseded:
+                superseded.append(True)
+                service.swap_snapshot(newest)
+            return original(block_index)
+
+        service._block_rows = block_rows
+        service.swap_snapshot(_snapshot(seed=99, version=2))
+        blocks = user_blocks(NUM_USERS, 10)
+        # Block 0 of version 2, then every block of version 3; the version 2
+        # prewarm stopped instead of scoring its blocks 1 and 2.
+        assert service.stats()["blocks_scored"] == 1 + len(blocks)
+        assert service.stats()["snapshot_version"] == 3
+        for index, (lo, hi) in enumerate(blocks):
+            np.testing.assert_array_equal(
+                service._block_scores[index],
+                newest.model().score_block(np.arange(lo, hi, dtype=np.int64)),
+            )
 
     def test_swap_to_identical_factors_serves_identical_lists(self):
         service = RecommenderService(_snapshot(seed=4, version=1), _dataset())

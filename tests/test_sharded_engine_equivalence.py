@@ -6,9 +6,9 @@ snapshot of ``V`` and the dataset's CSR arrays, then merges the per-shard
 updates deterministically in shard order before DP clipping, attack injection
 and aggregation.  All randomness is predrawn in the parent, the workers run
 only exactly block-decomposable kernel stages, and the merge is a pure
-concatenation — so for every engine/sampler realization the full training
-history must be **bit-identical** to ``workers=1``.  This suite pins that
-contract across the {engine} x {sampler} x {workers} x {scenario} grid,
+concatenation — so for every engine realization the full training history
+must be **bit-identical** to ``workers=1``.  This suite pins that contract
+across the {engine} x {workers} x {scenario} grid,
 including the edge partitions (more shards than clients, empty shards,
 one-client shards).
 """
@@ -31,12 +31,11 @@ from repro.federated.simulation import FederatedSimulation
 from repro.rng import SeedSequenceFactory
 
 ENGINES = ("loop", "vectorized")
-SAMPLERS = ("permutation", "batched")
 WORKERS = (1, 2, 3, 7)
 SCENARIOS = ("benign", "fedrecattack")
 
 
-def _run(small_split, small_public, small_targets, engine, sampler, scenario, workers, **kwargs):
+def _run(small_split, small_public, small_targets, engine, scenario, workers, **kwargs):
     attack = None
     num_malicious = 0
     if scenario == "fedrecattack":
@@ -51,7 +50,6 @@ def _run(small_split, small_public, small_targets, engine, sampler, scenario, wo
         clients_per_round=32,
         num_epochs=2,
         engine=engine,
-        sampler=sampler,
         workers=workers,
     )
     defaults.update(kwargs)
@@ -91,16 +89,16 @@ def _assert_bit_identical(result_a, result_b):
         assert result_b.exposure is None
 
 
-#: Lazily filled (engine, sampler, scenario) -> workers=1 baseline cache so the
-#: twelve sharded grid points reuse four baseline runs per scenario.
-_BASELINES: dict[tuple[str, str, str], object] = {}
+#: Lazily filled (engine, scenario) -> workers=1 baseline cache so the six
+#: sharded grid points reuse two baseline runs per scenario.
+_BASELINES: dict[tuple[str, str], object] = {}
 
 
-def _baseline(small_split, small_public, small_targets, engine, sampler, scenario):
-    key = (engine, sampler, scenario)
+def _baseline(small_split, small_public, small_targets, engine, scenario):
+    key = (engine, scenario)
     if key not in _BASELINES:
         result, _ = _run(
-            small_split, small_public, small_targets, engine, sampler, scenario, workers=1
+            small_split, small_public, small_targets, engine, scenario, workers=1
         )
         _BASELINES[key] = result
     return _BASELINES[key]
@@ -108,17 +106,14 @@ def _baseline(small_split, small_public, small_targets, engine, sampler, scenari
 
 class TestShardedEquivalence:
     @pytest.mark.parametrize("engine", ENGINES)
-    @pytest.mark.parametrize("sampler", SAMPLERS)
     @pytest.mark.parametrize("workers", [w for w in WORKERS if w > 1])
     @pytest.mark.parametrize("scenario", SCENARIOS)
     def test_grid_bit_identical(
-        self, small_split, small_public, small_targets, engine, sampler, workers, scenario
+        self, small_split, small_public, small_targets, engine, workers, scenario
     ):
-        baseline = _baseline(
-            small_split, small_public, small_targets, engine, sampler, scenario
-        )
+        baseline = _baseline(small_split, small_public, small_targets, engine, scenario)
         sharded, simulation = _run(
-            small_split, small_public, small_targets, engine, sampler, scenario, workers
+            small_split, small_public, small_targets, engine, scenario, workers
         )
         _assert_bit_identical(baseline, sharded)
         assert simulation.round_index > 0
@@ -134,7 +129,6 @@ class TestShardedEquivalence:
             small_public,
             small_targets,
             engine,
-            "permutation",
             "benign",
             workers=1,
             clients_per_round=4,
@@ -145,7 +139,6 @@ class TestShardedEquivalence:
             small_public,
             small_targets,
             engine,
-            "permutation",
             "benign",
             workers=7,
             clients_per_round=4,
@@ -161,7 +154,6 @@ class TestShardedEquivalence:
             small_public,
             small_targets,
             engine,
-            "permutation",
             "benign",
             workers=1,
             clients_per_round=8,
@@ -172,7 +164,6 @@ class TestShardedEquivalence:
             small_public,
             small_targets,
             engine,
-            "permutation",
             "benign",
             workers=8,
             clients_per_round=8,
@@ -183,11 +174,11 @@ class TestShardedEquivalence:
     def test_l2_regularised_path(self, small_split, small_public, small_targets):
         baseline, _ = _run(
             small_split, small_public, small_targets,
-            "vectorized", "permutation", "benign", workers=1, l2_reg=0.01,
+            "vectorized", "benign", workers=1, l2_reg=0.01,
         )
         sharded, _ = _run(
             small_split, small_public, small_targets,
-            "vectorized", "permutation", "benign", workers=2, l2_reg=0.01,
+            "vectorized", "benign", workers=2, l2_reg=0.01,
         )
         _assert_bit_identical(baseline, sharded)
 
@@ -197,11 +188,11 @@ class TestShardedEquivalence:
         kwargs = dict(noise_scale=0.1, clip_benign_gradients=True)
         baseline, _ = _run(
             small_split, small_public, small_targets,
-            "vectorized", "permutation", "benign", workers=1, **kwargs,
+            "vectorized", "benign", workers=1, **kwargs,
         )
         sharded, _ = _run(
             small_split, small_public, small_targets,
-            "vectorized", "permutation", "benign", workers=3, **kwargs,
+            "vectorized", "benign", workers=3, **kwargs,
         )
         _assert_bit_identical(baseline, sharded)
 
@@ -211,11 +202,11 @@ class TestShardedEquivalence:
         kwargs = dict(use_learnable_scorer=True, scorer_hidden_units=8)
         baseline, sim_base = _run(
             small_split, small_public, small_targets,
-            "loop", "batched", "benign", workers=1, **kwargs,
+            "loop", "benign", workers=1, **kwargs,
         )
         sharded, sim_shard = _run(
             small_split, small_public, small_targets,
-            "loop", "batched", "benign", workers=2, **kwargs,
+            "loop", "benign", workers=2, **kwargs,
         )
         _assert_bit_identical(baseline, sharded)
         np.testing.assert_array_equal(
@@ -226,11 +217,11 @@ class TestShardedEquivalence:
     def test_participation_counts_agree(self, small_split, small_public, small_targets):
         _, sim_base = _run(
             small_split, small_public, small_targets,
-            "vectorized", "permutation", "benign", workers=1,
+            "vectorized", "benign", workers=1,
         )
         _, sim_shard = _run(
             small_split, small_public, small_targets,
-            "vectorized", "permutation", "benign", workers=3,
+            "vectorized", "benign", workers=3,
         )
         assert sim_base.server.rounds_applied == sim_shard.server.rounds_applied
         for user in range(small_split.train.num_users):
