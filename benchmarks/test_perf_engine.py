@@ -5,17 +5,15 @@ paper's evaluation datasets (Table II) and the protocol defaults (k = 32,
 256 clients per round):
 
 * ``test_perf_engine`` — benign federated rounds at the MovieLens-100K,
-  MovieLens-1M and Steam-200K shapes, measuring rounds/sec for three
-  configurations: the ``loop`` reference, the ``vectorized`` engine (the
-  reference's realization up to summation order), and ``batched_fused``
-  (vectorized engine + cross-round fusion — the sparse-dataset
-  configuration).  Every configuration draws each round's negatives in one
-  stacked pass from the round stream.  Gates: vectorized ≥ 3x at the
-  ml-100k shape, batched_fused ≥ 3x at the steam-200k shape (whose sparse
-  per-user activity makes plain vectorization the weakest, ~2x).
+  MovieLens-1M and Steam-200K shapes, measuring rounds/sec for two
+  configurations: the ``loop`` reference and the ``vectorized`` engine (the
+  reference's realization up to summation order).  Both draw each round's
+  negatives in one stacked pass from the round stream.  Gates: vectorized
+  ≥ 3x at the ml-100k shape and at the steam-200k shape (whose sparse
+  per-user activity makes vectorization the weakest).
 * ``test_perf_attack_rounds`` — attack-enabled rounds (FedRecAttack with its
   user-matrix approximation refresh and poisoned-gradient construction every
-  round) at the ml-100k shape, loop against vectorized (fusion off).  Gate:
+  round) at the ml-100k shape, loop against vectorized.  Gate:
   vectorized ≥ 3x the loop reference.
 * ``test_perf_engine_smoke`` — a fast (seconds) loop-vs-vectorized gate at
   the ml-100k shape, run by CI on every push so speedup regressions fail the
@@ -23,9 +21,7 @@ paper's evaluation datasets (Table II) and the protocol defaults (k = 32,
 
 ``loop`` and ``vectorized`` consume identical random streams, so that
 speedup is free of any accuracy trade-off (see
-``tests/test_federated_engine_equivalence.py``); ``batched_fused`` adds
-delayed within-window gradients, re-validated qualitatively by the
-table/figure gates under ``REPRO_BENCH_FUSE_ROUNDS``.
+``tests/test_federated_engine_equivalence.py``).
 
 Results land in ``benchmarks/results/perf_engine.json`` / ``.txt`` and
 ``benchmarks/results/perf_attack.json`` / ``.txt``.
@@ -55,7 +51,6 @@ CLIENTS_PER_ROUND = 256
 MIN_SPEEDUP = 3.0
 GATE_SHAPE = "ml-100k"
 SPARSE_GATE_SHAPE = "steam-200k"
-FUSE_ROUNDS = 4
 
 #: (measured rounds, interleaved repeats) per dataset shape.  The larger
 #: shapes run fewer repeats so the whole sweep stays laptop-friendly; the
@@ -70,7 +65,6 @@ SHAPES: dict[str, tuple[int, int]] = {
 VARIANTS: dict[str, dict] = {
     "loop": {"engine": "loop"},
     "vectorized": {"engine": "vectorized"},
-    "batched_fused": {"engine": "vectorized", "fuse_rounds": FUSE_ROUNDS},
 }
 
 ATTACK_VARIANTS: dict[str, dict] = {
@@ -117,21 +111,11 @@ def _round_batches(simulation: FederatedSimulation, num_rounds: int) -> list[np.
 
 
 def _time_rounds(simulation: FederatedSimulation, num_rounds: int) -> float:
-    """Wall-clock seconds for ``num_rounds`` further training rounds.
-
-    Configurations with a fusion window run the same rounds through the fused
-    scheduler in windows of ``fuse_rounds`` (the same grouping the epoch
-    scheduler uses), so the measurement exercises the production code path.
-    """
+    """Wall-clock seconds for ``num_rounds`` further training rounds."""
     batches = _round_batches(simulation, num_rounds)
-    fuse = simulation.config.fuse_rounds
     start = time.perf_counter()
-    if fuse > 1 and simulation.config.engine == "vectorized":
-        for window_start in range(0, len(batches), fuse):
-            simulation._run_fused_rounds(batches[window_start : window_start + fuse])
-    else:
-        for batch in batches:
-            simulation._run_round(batch)
+    for batch in batches:
+        simulation._run_round(batch)
     return time.perf_counter() - start
 
 
@@ -177,7 +161,6 @@ def _measure_shape(name: str, measured_rounds: int, repeats: int) -> dict:
         "num_users": preset.num_users,
         "num_items": preset.num_items,
         "num_interactions": preset.num_interactions,
-        "fuse_rounds": FUSE_ROUNDS,
         **_throughput(simulations, measured_rounds, repeats),
     }
 
@@ -199,7 +182,6 @@ def test_perf_engine(benchmark, save_result):
     )
     lines = [
         "Round-engine throughput (synthetic paper shapes, k=32, 256 clients/round)",
-        f"batched_fused = vectorized engine + fuse_rounds={FUSE_ROUNDS}",
     ]
     for shape in payload["shapes"]:
         lines += [
@@ -207,22 +189,15 @@ def test_perf_engine(benchmark, save_result):
             f"  loop engine:       {shape['loop_rounds_per_sec']:8.2f} rounds/sec",
             f"  vectorized engine: {shape['vectorized_rounds_per_sec']:8.2f} rounds/sec"
             f"  ({shape['vectorized_speedup']:.2f}x)",
-            f"  batched + fused:   {shape['batched_fused_rounds_per_sec']:8.2f} rounds/sec"
-            f"  ({shape['batched_fused_speedup']:.2f}x)",
         ]
     save_result("perf_engine", "\n".join(lines))
 
-    gate = next(s for s in payload["shapes"] if s["dataset"] == GATE_SHAPE)
-    assert gate["vectorized_speedup"] >= MIN_SPEEDUP, (
-        f"vectorized engine is only {gate['vectorized_speedup']:.2f}x faster than the loop "
-        f"engine at the {GATE_SHAPE} shape (required: {MIN_SPEEDUP}x)"
-    )
-    sparse = next(s for s in payload["shapes"] if s["dataset"] == SPARSE_GATE_SHAPE)
-    assert sparse["batched_fused_speedup"] >= MIN_SPEEDUP, (
-        f"round fusion is only {sparse['batched_fused_speedup']:.2f}x "
-        f"faster than the loop engine at the {SPARSE_GATE_SHAPE} shape "
-        f"(required: {MIN_SPEEDUP}x)"
-    )
+    for shape_name in (GATE_SHAPE, SPARSE_GATE_SHAPE):
+        gate = next(s for s in payload["shapes"] if s["dataset"] == shape_name)
+        assert gate["vectorized_speedup"] >= MIN_SPEEDUP, (
+            f"vectorized engine is only {gate['vectorized_speedup']:.2f}x faster than "
+            f"the loop engine at the {shape_name} shape (required: {MIN_SPEEDUP}x)"
+        )
 
 
 # --------------------------------------------------------------------------- #
@@ -254,9 +229,6 @@ def test_perf_engine_smoke(benchmark):
     assert payload["vectorized_speedup"] >= SMOKE_MIN_SPEEDUP, (
         f"vectorized engine is only {payload['vectorized_speedup']:.2f}x faster than "
         f"the loop engine in the smoke measurement (required: {SMOKE_MIN_SPEEDUP}x)"
-    )
-    assert payload["batched_fused_rounds_per_sec"] > payload["loop_rounds_per_sec"], (
-        "round fusion must not be slower than the loop reference"
     )
 
 

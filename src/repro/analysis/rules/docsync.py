@@ -18,7 +18,7 @@ every ``SwitchSpec`` entry is checked, and two extra legs apply:
 Trees without a registry (the lint fixtures, historical checkouts) fall
 back to the legacy switch list: the literal-realization switches extracted
 for R2 plus :data:`EXTRA_SWITCH_FIELDS` (numeric switches like
-``fuse_rounds`` that have no literal realization tuple).
+``workers`` that have no literal realization tuple).
 
 Always checked per switch:
 
@@ -41,7 +41,7 @@ __all__ = ["ConfigCliDocsSyncRule", "EXTRA_SWITCH_FIELDS"]
 #: User-facing switch fields without a literal realization tuple — the
 #: legacy fallback list used only when the tree has no switch registry (the
 #: registry declares these as ``kind="int"`` / ``kind="float"`` specs).
-EXTRA_SWITCH_FIELDS = ("fuse_rounds", "workers")
+EXTRA_SWITCH_FIELDS = ("workers",)
 
 
 @register

@@ -27,7 +27,7 @@ Examples
 ::
 
     fedrecattack run --dataset ml-100k --attack fedrecattack --rho 0.05 --scale 0.1
-    fedrecattack run --dataset steam-200k --fuse-rounds 4
+    fedrecattack run --dataset steam-200k --workers 2
     fedrecattack serve --dataset ml-100k --scale 0.1 --epochs 5 --port 8080
     fedrecattack table 7 --profile bench
     fedrecattack figure 3 --dataset steam-200k

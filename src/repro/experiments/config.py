@@ -15,7 +15,6 @@ Two layers of configuration are used throughout the harness:
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, replace
 from typing import Any
 
@@ -58,7 +57,6 @@ class ExperimentConfig:
     engine: str = "vectorized"
     eval_engine: str = "vectorized"
     eval_path: str = "block"
-    fuse_rounds: int = 1
     workers: int = 1
     worker_timeout: float | None = None
     dropout_rate: float = 0.0
@@ -131,9 +129,7 @@ class ExperimentProfile:
     ``dataset_aliases`` optionally replaces a dataset by a calibrated
     miniature preset (used by the benchmark profile), ``dataset_scales`` maps
     each dataset to a uniform down-scaling factor, and the remaining fields
-    override the heavyweight training hyper-parameters.  ``fuse_rounds``,
-    when set, overrides the cross-round fusion window of every run
-    regenerated at this profile (see ``REPRO_BENCH_FUSE_ROUNDS`` below).
+    override the heavyweight training hyper-parameters.
     """
 
     name: str
@@ -145,7 +141,6 @@ class ExperimentProfile:
     dataset_scales: dict[str, float] = field(default_factory=dict)
     dataset_aliases: dict[str, str] = field(default_factory=dict)
     seed: int = 0
-    fuse_rounds: int | None = None
 
     def scale_for(self, dataset: str) -> float:
         """Down-scaling factor for ``dataset`` (1.0 when not listed)."""
@@ -157,7 +152,7 @@ class ExperimentProfile:
 
     def apply(self, config: ExperimentConfig) -> ExperimentConfig:
         """Apply this profile's scale and training overrides to ``config``."""
-        overrides = dict(
+        return config.with_overrides(
             dataset=self.dataset_for(config.dataset),
             scale=self.scale_for(config.dataset),
             num_epochs=self.num_epochs,
@@ -167,9 +162,6 @@ class ExperimentProfile:
             learning_rate=self.learning_rate,
             seed=self.seed,
         )
-        if self.fuse_rounds is not None:
-            overrides["fuse_rounds"] = self.fuse_rounds
-        return config.with_overrides(**overrides)
 
 
 #: Full paper-scale settings: real dataset sizes and 200 training epochs.
@@ -186,30 +178,6 @@ PAPER_PROFILE = ExperimentProfile(
 #: datasets, fewer epochs, a higher learning rate (so the same effective
 #: optimisation horizon eta * epochs is reached in far fewer rounds) and
 #: smaller client batches.
-#:
-#: ``REPRO_BENCH_FUSE_ROUNDS`` switches the fusion window of the whole
-#: benchmark suite without touching the tests — e.g.
-#: ``REPRO_BENCH_FUSE_ROUNDS=4 pytest benchmarks/`` re-validates every
-#: qualitative table/figure gate under fused rounds.  Unset, the profile pins
-#: nothing and runs keep the ``ExperimentConfig`` default (no fusion).
-def _bench_fuse_rounds_from_env() -> int | None:
-    """Parse ``REPRO_BENCH_FUSE_ROUNDS``, failing with a clear error.
-
-    Read at import time (the profile is a module-level constant), so a
-    malformed value must surface as a :class:`ConfigurationError` naming the
-    variable rather than a bare ``ValueError`` from deep inside an import.
-    """
-    raw = os.environ.get("REPRO_BENCH_FUSE_ROUNDS")
-    if not raw:
-        return None
-    try:
-        return int(raw)
-    except ValueError as error:
-        raise ConfigurationError(
-            f"REPRO_BENCH_FUSE_ROUNDS must be an integer, got {raw!r}"
-        ) from error
-
-
 BENCH_PROFILE = ExperimentProfile(
     name="bench",
     num_epochs=35,
@@ -222,5 +190,4 @@ BENCH_PROFILE = ExperimentProfile(
         "ml-1m": "ml-1m-mini",
         "steam-200k": "steam-200k-mini",
     },
-    fuse_rounds=_bench_fuse_rounds_from_env(),
 )

@@ -86,17 +86,6 @@ class FederatedConfig:
         seed (bit-identical on the fallback, numerically equal within the
         GEMM-vs-gather reassociation elsewhere); the golden suite pins
         both.  Irrelevant under the full-ranking protocol.
-    fuse_rounds:
-        Cross-round fusion window of the vectorized MF engine.  ``1``
-        (default) computes each round exactly against the freshest item
-        matrix.  ``F > 1`` schedules ``F`` consecutive same-epoch rounds'
-        local training through one stacked kernel invocation against the
-        item matrix at the window start; the resulting factored updates are
-        still privatised, attack-extended, observed and aggregated one round
-        at a time, so aggregation semantics, DP clipping and attack
-        injection are unchanged — only the benign gradients inside a window
-        are computed against an up-to-``F - 1``-rounds-stale ``V`` (a
-        delayed-gradient trade-off that changes the realization).  Requires the vectorized engine and plain MF.
     workers:
         Number of worker processes sharding each round's benign local
         training.  ``1`` (default) keeps everything in-process.  ``W > 1``
@@ -186,7 +175,6 @@ class FederatedConfig:
     engine: str = "vectorized"
     eval_engine: str = "vectorized"
     eval_path: str = "block"
-    fuse_rounds: int = 1
     workers: int = 1
     worker_timeout: float | None = None
     dropout_rate: float = 0.0
@@ -222,36 +210,9 @@ class FederatedConfig:
         # the cross-switch constraints below are spelled out by hand.
         for spec in SWITCH_REGISTRY:
             spec.validate_value(getattr(self, spec.name))
-        if self.fuse_rounds > 1 and self.engine != "vectorized":
-            raise ConfigurationError(
-                "fuse_rounds > 1 requires the vectorized engine "
-                f"(got engine={self.engine!r})"
-            )
-        if self.fuse_rounds > 1 and self.use_learnable_scorer:
-            raise ConfigurationError(
-                "fuse_rounds > 1 is only supported for plain MF "
-                "(the scorer path has no factored round representation)"
-            )
         if self.workers > 1 and self.engine == "vectorized" and self.use_learnable_scorer:
             raise ConfigurationError(
                 "workers > 1 with the vectorized engine is only supported for "
                 "plain MF (the scorer round has no sharded implementation); "
                 "use engine='loop' to shard scorer training"
-            )
-        dynamics_on = (
-            self.dropout_rate > 0.0
-            or self.crash_rate > 0.0
-            or self.straggler_rate > 0.0
-            or self.min_reporters > 0
-        )
-        if dynamics_on and self.fuse_rounds > 1:
-            raise ConfigurationError(
-                "federation dynamics (dropout_rate / crash_rate / "
-                "straggler_rate / min_reporters) require fuse_rounds=1 "
-                "(fault dispositions are per-round)"
-            )
-        if self.degradation == "quorum" and self.fuse_rounds > 1:
-            raise ConfigurationError(
-                "degradation='quorum' requires fuse_rounds=1 "
-                "(a fused window cannot drop a shard's clients per-round)"
             )

@@ -19,20 +19,15 @@ per-client Python loop:
   / ``mean`` aggregators and the DP mechanism consume without ever
   materialising the ``(nnz, k)`` gradient-row array.
 
-:meth:`train_rounds` is the *cross-round fusion* kernel
-(``FederatedConfig.fuse_rounds > 1``): the local training of several
-consecutive same-epoch rounds — whose client sets are disjoint, since an
-epoch shuffles every client into exactly one round — runs through a single
-stacked :func:`bpr_coefficients_batched` invocation against the item matrix
-at the window start, and is then split back into one
-:class:`FactoredRoundUpdates` per round so privatisation, attack injection,
-observation and aggregation stay strictly per-round.
-
 The MLP-scorer path is batched the same way through
 :meth:`MLPScorer.score_and_segment_gradients`, which returns per-client
 ``Theta`` gradients in one call; its item-gradient rows are not rank-1, so it
-emits the CSR-style :class:`~repro.federated.updates.SparseRoundUpdates` (and
-does not support fusion).
+emits the CSR-style :class:`~repro.federated.updates.SparseRoundUpdates`.
+
+:meth:`BatchedRoundTrainer.train_round` is the vectorized engine's whole train
+phase: the simulation calls it once per round and runs everything after
+training (attack crafting, dispositions, observer, server step) itself, on
+the same code path as the loop engine.
 """
 
 from __future__ import annotations
@@ -247,97 +242,6 @@ class BatchedRoundTrainer:
         self._step_clients(clients, user_vectors, grad_users)
         round_updates = self._privacy.apply_round(round_updates)
         return round_updates, float(losses.sum())
-
-    # ------------------------------------------------------------------ #
-    # Cross-round fusion (MF path only)
-    # ------------------------------------------------------------------ #
-    def train_rounds(
-        self,
-        benign_ids_per_round: list[list[int]],
-        item_factors: np.ndarray,
-    ) -> list[tuple["FactoredRoundUpdates | SparseRoundUpdates", float]]:
-        """Fused local training of several consecutive same-epoch rounds.
-
-        All rounds' clients are stacked into one
-        :func:`bpr_coefficients_batched` invocation against ``item_factors``
-        (the shared item matrix at the window start), then the result is
-        sliced back into one privatised :class:`FactoredRoundUpdates` per
-        round, in round order — so the DP noise stream, attack injection and
-        aggregation are consumed round by round exactly as without fusion.
-
-        Pair drawing stays per-round (in round order), so the sampling
-        stream is identical to the unfused schedule;
-        the only semantic difference of fusion is that rounds after the first
-        train against a stale ``V``.  The client sets of the fused rounds
-        must be disjoint (an epoch schedule guarantees this); overlapping
-        windows fall back to sequential per-round training.
-        """
-        all_ids = [cid for ids in benign_ids_per_round for cid in ids]
-        if len(set(all_ids)) != len(all_ids):
-            # A client appearing twice would need its first local step applied
-            # before its second round's gradients — not expressible in one
-            # stacked kernel, so compute those windows round by round.
-            return [
-                self.train_round(ids, item_factors, None)
-                for ids in benign_ids_per_round
-            ]
-
-        round_pairs = [self.draw_round_pairs(ids) for ids in benign_ids_per_round]
-        if not all_ids:
-            return [(self._empty_round(), 0.0) for _ in benign_ids_per_round]
-
-        clients = [self._clients[cid] for cid in all_ids]
-        segment_ids, positives, negatives = _stack_pairs(
-            [pairs for rp in round_pairs for pairs in rp]
-        )
-        user_vectors = np.stack([client.user_vector for client in clients])
-        l2_reg = self._config.l2_reg
-        if self._executor is not None:
-            merged, grad_users, losses_all = self._train_mf_sharded(
-                all_ids, user_vectors, segment_ids, positives, negatives, item_factors
-            )
-            item_ids_all = merged.item_ids
-            coefficients_all = merged.coefficients
-            offsets = merged.client_offsets
-        else:
-            batched = bpr_coefficients_batched(
-                user_vectors,
-                item_factors,
-                segment_ids,
-                positives,
-                negatives,
-                l2_reg=l2_reg,
-            )
-            item_ids_all = batched.item_ids
-            coefficients_all = batched.coefficients
-            offsets = batched.segment_offsets
-            losses_all = batched.losses
-            grad_users = batched.grad_users
-        self._step_clients(clients, user_vectors, grad_users)
-
-        results: list[tuple[FactoredRoundUpdates | SparseRoundUpdates, float]] = []
-        client_start = 0
-        for ids in benign_ids_per_round:
-            if not ids:
-                results.append((self._empty_round(), 0.0))
-                continue
-            c0, c1 = client_start, client_start + len(ids)
-            client_start = c1
-            lo, hi = int(offsets[c0]), int(offsets[c1])
-            round_updates = FactoredRoundUpdates(
-                client_ids=np.asarray(ids, dtype=np.int64),
-                item_ids=item_ids_all[lo:hi],
-                coefficients=coefficients_all[lo:hi],
-                client_offsets=offsets[c0 : c1 + 1] - lo,
-                user_vectors=user_vectors[c0:c1],
-                losses=losses_all[c0:c1],
-                malicious_mask=np.zeros(len(ids), dtype=bool),
-                ridge=2.0 * l2_reg if l2_reg > 0.0 else 0.0,
-                ridge_matrix=item_factors if l2_reg > 0.0 else None,
-            )
-            round_updates = self._privacy.apply_round(round_updates)
-            results.append((round_updates, float(losses_all[c0:c1].sum())))
-        return results
 
     # ------------------------------------------------------------------ #
     # Internals

@@ -68,17 +68,34 @@ class Server:
         round with no uploads still counts towards :attr:`rounds_applied` —
         every selection of clients is a protocol round, whether or not anyone
         uploaded — but leaves the parameters untouched.
+
+        A step that would leave ``V`` (or, with the learnable scorer,
+        ``Theta``) non-finite — a NaN or infinite upload, or an overflow —
+        raises :class:`~repro.exceptions.FederationError` naming the round
+        and keeps the old parameters and round counter.
         """
-        self.rounds_applied += 1
         if len(updates) == 0:
+            self.rounds_applied += 1
             return
         result = self.aggregator.aggregate(updates, self.num_items, self.num_factors)
-        self.item_factors = self.item_factors - self.config.learning_rate * result.item_gradient
+        item_factors = self.item_factors - self.config.learning_rate * result.item_gradient
+        parameters: np.ndarray | None = None
         if self.scorer is not None and result.theta_gradient is not None:
-            parameters = self.scorer.get_parameters()
-            self.scorer.set_parameters(
-                parameters - self.config.learning_rate * result.theta_gradient
+            parameters = (
+                self.scorer.get_parameters()
+                - self.config.learning_rate * result.theta_gradient
             )
+        stepped: dict[str, np.ndarray | None] = {"V": item_factors, "Theta": parameters}
+        for name, values in stepped.items():
+            if values is not None and not np.isfinite(values).all():
+                raise FederationError(
+                    f"round {self.rounds_applied}: the server step left {name} "
+                    "non-finite (NaN or infinite uploads); parameters unchanged"
+                )
+        self.item_factors = item_factors
+        if self.scorer is not None and parameters is not None:
+            self.scorer.set_parameters(parameters)
+        self.rounds_applied += 1
 
     def snapshot_item_factors(self) -> np.ndarray:
         """A copy of the current item matrix (what clients receive each round)."""

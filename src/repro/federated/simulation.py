@@ -8,12 +8,15 @@ configurable cadence it evaluates recommendation accuracy (HR@10 / NDCG@10 on
 the held-out items) and the attack's exposure metrics (ER@5 / ER@10 /
 NDCG@10 of the target items).
 
-Two round engines are available, selected by ``FederatedConfig.engine``:
+Every round runs through one pipeline, :meth:`FederatedSimulation._run_round`:
+fault draw → attacker hook → local training → malicious crafting → fault
+dispositions → observer → server step → dirty-state record.  Only the
+training phase depends on ``FederatedConfig.engine``:
 
 * ``"vectorized"`` (default) — :class:`~repro.federated.engine.BatchedRoundTrainer`
   trains all of a round's benign clients in stacked numpy operations and
-  hands the server one CSR-style
-  :class:`~repro.federated.updates.SparseRoundUpdates` structure.
+  hands the server one lazy round structure
+  (:class:`~repro.federated.updates.FactoredRoundUpdates` on the MF path).
 * ``"loop"`` — the original one-client-at-a-time reference implementation.
 
 Both engines draw each round's training pairs through the same stacked
@@ -21,12 +24,6 @@ draw from one shared round-level stream, so from identical seeds they
 produce matching training histories up to floating-point summation order.
 Attack scheduling and the round counter are driven by the server's
 ``rounds_applied``, which counts every protocol round (empty ones included).
-
-With ``FederatedConfig.fuse_rounds > 1`` (vectorized MF only) the epoch's
-rounds are scheduled in fusion windows: each window's benign local training
-runs through one stacked kernel invocation against the item matrix at the
-window start, while privatisation, attack injection, observers and
-aggregation still happen one round at a time in round order.
 """
 
 from __future__ import annotations
@@ -46,7 +43,12 @@ from repro.federated.history import EpochRecord, TrainingHistory
 from repro.federated.privacy import GaussianNoiseMechanism
 from repro.federated.server import Server
 from repro.federated.sharding import ShardedRoundExecutor, build_loop_shard_tasks
-from repro.federated.updates import ClientUpdate, merge_sparse_rounds
+from repro.federated.updates import (
+    ClientUpdate,
+    FactoredRoundUpdates,
+    SparseRoundUpdates,
+    merge_sparse_rounds,
+)
 from repro.metrics.accuracy import AccuracyReport
 from repro.metrics.evaluation import evaluate_snapshot
 from repro.metrics.exposure import ExposureReport
@@ -60,6 +62,13 @@ if TYPE_CHECKING:  # pragma: no cover - import for type checkers only
 __all__ = ["FederatedSimulation", "SimulationResult"]
 
 UpdateObserver = Callable[[int, list[ClientUpdate]], None]
+
+
+def _client_updates(
+    uploads: list[ClientUpdate] | FactoredRoundUpdates | SparseRoundUpdates,
+) -> list[ClientUpdate]:
+    """A round's uploads as per-client updates (materialising a round structure)."""
+    return uploads if isinstance(uploads, list) else uploads.to_client_updates()
 
 
 @dataclass
@@ -407,83 +416,20 @@ class FederatedSimulation:
         )
 
     def _run_epoch(self) -> float:
-        """One pass over all clients in random batches; returns the benign loss.
-
-        With ``fuse_rounds > 1`` the epoch's batches are scheduled in fusion
-        windows of that size (never crossing the epoch boundary, so every
-        window's client sets are disjoint); otherwise one round at a time.
-        """
+        """One pass over all clients in random batches; returns the benign loss."""
         order = self._schedule_rng.permutation(self._all_client_ids)
         batch_size = self.config.clients_per_round
-        batches = [
-            order[start : start + batch_size]
-            for start in range(0, order.shape[0], batch_size)
-        ]
         epoch_loss = 0.0
-        fuse = self.config.fuse_rounds
-        if fuse > 1 and self.config.engine == "vectorized":
-            for start in range(0, len(batches), fuse):
-                epoch_loss += self._run_fused_rounds(batches[start : start + fuse])
-        else:
-            for batch in batches:
-                epoch_loss += self._run_round(batch)
+        for start in range(0, order.shape[0], batch_size):
+            epoch_loss += self._run_round(order[start : start + batch_size])
         return epoch_loss
-
-    def _run_fused_rounds(self, batches: list[np.ndarray]) -> float:
-        """One fusion window: stacked benign training, per-round everything else.
-
-        The window's benign local training is computed in one kernel
-        invocation against the item matrix at the window start
-        (:meth:`BatchedRoundTrainer.train_rounds`); the attacker hook, the
-        crafted malicious uploads, the observer and the server step then run
-        round by round against the *current* parameters, exactly as in the
-        unfused schedule.
-        """
-        benign_ids_per_round = [
-            [int(cid) for cid in batch if int(cid) in self.benign_clients]
-            for batch in batches
-        ]
-        trained = self._trainer.train_rounds(
-            benign_ids_per_round, self.server.item_factors
-        )
-        total_loss = 0.0
-        for benign_ids, batch, (round_updates, round_loss) in zip(
-            benign_ids_per_round, batches, trained
-        ):
-            round_index = self.server.rounds_applied
-            selected_malicious = [
-                int(cid) for cid in batch if int(cid) in self.malicious_clients
-            ]
-            if self.attack is not None and selected_malicious:
-                self.attack.on_round_start(
-                    round_index,
-                    self.server.item_factors,
-                    self.server.scorer,
-                    selected_malicious,
-                )
-                crafted = [
-                    self.attack.craft_update(
-                        self.malicious_clients[cid],
-                        self.server.item_factors,
-                        self.server.scorer,
-                        round_index,
-                    )
-                    for cid in selected_malicious
-                ]
-                round_updates = round_updates.extended(
-                    u for u in crafted if u is not None
-                )
-            if self.update_observer is not None:
-                self.update_observer(round_index, round_updates.to_client_updates())
-            self.server.apply_round(round_updates)
-            self._record_applied_round(
-                benign_ids, round_updates.client_ids.shape[0] > 0
-            )
-            total_loss += round_loss
-        return total_loss
 
     def _run_round(self, batch: np.ndarray) -> float:
         """One aggregation round over the selected ``batch`` of clients.
+
+        The single round pipeline, in phase order: faults → attacker hook →
+        train → craft → dispose → observe → apply → record.  Only the train
+        phase depends on ``config.engine``.
 
         With federation dynamics enabled, the round's fault realization is
         drawn first (aborting-and-redrawing below the reporter quorum,
@@ -491,6 +437,15 @@ class FederatedSimulation:
         from the participant set entirely — they never train and never
         report — while crashed clients and stragglers train with the round
         and have their uploads disposed of afterwards.
+
+        The benign uploads are privatised during training and the malicious
+        ones crafted afterwards; the ``"privacy"`` stream and the attack
+        streams are separate, so this consumes each exactly as a walk over
+        the batch would.  The clean vectorized round hands the server its
+        lazy round structure; every other round (the loop engine, or a
+        degraded one: non-clean faults, pending stale arrivals or a dropped
+        shard) is materialised to per-client updates, in batch order on the
+        loop engine, so dispositions can filter them.
         """
         round_index = self.server.rounds_applied
         faults = self._draw_round_faults(batch, round_index)
@@ -498,6 +453,7 @@ class FederatedSimulation:
             participants = batch[~np.isin(batch, np.asarray(faults.dropped, dtype=np.int64))]
         else:
             participants = batch
+        benign_ids = [int(cid) for cid in participants if int(cid) in self.benign_clients]
         selected_malicious = [
             int(cid) for cid in participants if int(cid) in self.malicious_clients
         ]
@@ -508,139 +464,110 @@ class FederatedSimulation:
                 self.server.scorer,
                 selected_malicious,
             )
+
+        uploads: list[ClientUpdate] | FactoredRoundUpdates | SparseRoundUpdates
         if self.config.engine == "vectorized":
-            return self._run_round_vectorized(
-                participants, round_index, selected_malicious, faults
+            round_updates, round_loss = self._trainer.train_round(
+                benign_ids, self.server.item_factors, self.server.scorer
             )
-        return self._run_round_loop(participants, round_index, faults)
-
-    def _run_round_vectorized(
-        self,
-        batch: np.ndarray,
-        round_index: int,
-        selected_malicious: list[int],
-        faults: RoundFaults | None = None,
-    ) -> float:
-        """Batched round: all benign clients train in one stacked computation.
-
-        ``batch`` is the round's *participant* set (dropped clients already
-        removed).  With a fault realization, pending stale arrivals or a
-        degraded shard in play, the round structure is materialised to
-        per-client updates so crash/straggler dispositions can filter them;
-        the zero-fault round keeps the lazy structured path untouched.
-        """
-        benign_ids = [int(cid) for cid in batch if int(cid) in self.benign_clients]
-        round_updates, round_loss = self._trainer.train_round(
-            benign_ids, self.server.item_factors, self.server.scorer
-        )
-        shard_failures = self._drain_shard_incidents(round_index)
-        if self.attack is not None and selected_malicious:
-            crafted = [
-                self.attack.craft_update(
-                    self.malicious_clients[cid],
-                    self.server.item_factors,
-                    self.server.scorer,
-                    round_index,
-                )
-                for cid in selected_malicious
+            shard_failures = self._drain_shard_incidents(round_index)
+            uploads = round_updates.extended(
+                self._craft_uploads(selected_malicious, round_index).values()
+            )
+        else:
+            benign_uploads, round_loss = self._train_round_loop(benign_ids)
+            shard_failures = self._drain_shard_incidents(round_index)
+            by_client = {
+                **benign_uploads,
+                **self._craft_uploads(selected_malicious, round_index),
+            }
+            uploads = [
+                by_client[int(cid)] for cid in participants if int(cid) in by_client
             ]
-            round_updates = round_updates.extended(u for u in crafted if u is not None)
+
         degraded = (
             (faults is not None and not faults.is_clean)
             or bool(self._pending_arrivals)
             or bool(shard_failures)
         )
-        if degraded:
-            updates = self._apply_dispositions(
-                round_updates.to_client_updates(), faults, round_index
+        if isinstance(uploads, list) or degraded:
+            uploads = self._apply_dispositions(
+                _client_updates(uploads), faults, round_index
             )
             self._check_post_round_quorum(
-                len(updates), int(batch.shape[0]), shard_failures, round_index
+                len(uploads), int(participants.shape[0]), shard_failures, round_index
             )
-            if self.update_observer is not None:
-                self.update_observer(round_index, updates)
-            self.server.apply_round(updates)
-            self._record_applied_round(benign_ids, len(updates) > 0)
-            return round_loss
         if self.update_observer is not None:
-            self.update_observer(round_index, round_updates.to_client_updates())
-        self.server.apply_round(round_updates)
-        self._record_applied_round(benign_ids, round_updates.client_ids.shape[0] > 0)
+            self.update_observer(round_index, _client_updates(uploads))
+        self.server.apply_round(uploads)
+        self._record_applied_round(benign_ids, len(uploads) > 0)
         return round_loss
 
-    def _run_round_loop(
-        self, batch: np.ndarray, round_index: int, faults: RoundFaults | None = None
-    ) -> float:
-        """Reference round engine: one client at a time (kept for equivalence).
+    def _train_round_loop(
+        self, benign_ids: list[int]
+    ) -> tuple[dict[int, ClientUpdate], float]:
+        """Reference train phase: one client at a time (kept for equivalence).
 
         The round's negatives are predrawn through the same shared round
         stream the vectorized engine consumes (one stacked draw, clients in
         selection order), so the loop engine remains the equivalence oracle.
+        With ``workers > 1`` the per-client training on those predrawn pairs
+        runs in contiguous client shards on the worker pool; each client's
+        local step is then applied here in selection order, so the privacy
+        draws are untouched and the histories are bit-identical to
+        ``workers=1``.  A client whose shard was dropped under quorum
+        degradation is skipped entirely (its training never completed).
 
-        With ``workers > 1`` the per-client reference training on those
-        predrawn pairs runs in contiguous client shards
-        on the worker pool; the parent then applies each client's local step
-        and walks the batch in its original order, so privacy-noise draws,
-        attack injection and aggregation are untouched and the histories are
-        bit-identical to ``workers=1``.
-
-        ``batch`` is the participant set (dropped clients removed by
-        :meth:`_run_round`); crash/straggler dispositions are applied to the
-        collected uploads *after* the training walk, so stream consumption
-        and loss accounting match the vectorized engine exactly.  A client
-        whose shard was dropped under quorum degradation is skipped entirely
-        (its training never completed).
+        Returns the privatised uploads keyed by client id and the round's
+        benign training loss (measured before privacy noise).
         """
-        benign_ids = [int(cid) for cid in batch if int(cid) in self.benign_clients]
         predrawn = dict(zip(benign_ids, self._trainer.draw_round_pairs(benign_ids)))
-        sharded: dict[int, tuple[ClientUpdate, np.ndarray]] = {}
-        if self._shard_executor is not None:
-            sharded = self._loop_shard_results(benign_ids, predrawn)
-        shard_failures = self._drain_shard_incidents(round_index)
-        updates: list[ClientUpdate] = []
-        round_loss = 0.0
-        for cid in batch:
-            cid = int(cid)
-            if cid in self.benign_clients:
-                if self._shard_executor is not None:
-                    entry = sharded.get(cid)
-                    if entry is None:
-                        # The client's shard failed and was dropped under
-                        # quorum degradation: no local step, no upload.
-                        continue
-                    update, grad_user = entry
-                    client = self.benign_clients[cid]
-                    client.user_vector = client.user_vector - client.learning_rate * grad_user
-                    client.participation_count += 1
-                else:
-                    update = self.benign_clients[cid].local_train(
-                        self.server.item_factors,
-                        self.server.scorer,
-                        pairs=predrawn[cid],
-                    )
-                round_loss += update.loss
-                update = self.privacy.apply(update)
-            else:
-                if self.attack is None:
-                    continue
-                update = self.attack.craft_update(
-                    self.malicious_clients[cid],
-                    self.server.item_factors,
-                    self.server.scorer,
-                    round_index,
-                )
-            if update is not None:
-                updates.append(update)
-
-        updates = self._apply_dispositions(updates, faults, round_index)
-        self._check_post_round_quorum(
-            len(updates), int(batch.shape[0]), shard_failures, round_index
+        sharded = (
+            None
+            if self._shard_executor is None
+            else self._loop_shard_results(benign_ids, predrawn)
         )
-        if self.update_observer is not None:
-            self.update_observer(round_index, updates)
-        self.server.apply_round(updates)
-        self._record_applied_round(benign_ids, len(updates) > 0)
-        return round_loss
+        uploads: dict[int, ClientUpdate] = {}
+        round_loss = 0.0
+        for cid in benign_ids:
+            client = self.benign_clients[cid]
+            if sharded is None:
+                update = client.local_train(
+                    self.server.item_factors, self.server.scorer, pairs=predrawn[cid]
+                )
+            else:
+                entry = sharded.get(cid)
+                if entry is None:
+                    continue
+                update, grad_user = entry
+                client.user_vector = client.user_vector - client.learning_rate * grad_user
+                client.participation_count += 1
+            round_loss += update.loss
+            uploads[cid] = self.privacy.apply(update)
+        return uploads, round_loss
+
+    def _craft_uploads(
+        self, selected_malicious: list[int], round_index: int
+    ) -> dict[int, ClientUpdate]:
+        """The attack's uploads for the round's malicious participants.
+
+        Crafted in selection order against the current parameters; a client
+        the attack leaves silent (``craft_update`` returning ``None``) has no
+        entry.
+        """
+        crafted: dict[int, ClientUpdate] = {}
+        if self.attack is None:
+            return crafted
+        for cid in selected_malicious:
+            update = self.attack.craft_update(
+                self.malicious_clients[cid],
+                self.server.item_factors,
+                self.server.scorer,
+                round_index,
+            )
+            if update is not None:
+                crafted[cid] = update
+        return crafted
 
     def _loop_shard_results(
         self,

@@ -18,9 +18,9 @@ default, choices and documentation, from which
   literal keyword arguments — the analyzer reads this file without
   importing it).
 
-Cross-switch constraints (e.g. ``fuse_rounds > 1`` requiring the vectorized
-engine) stay in ``FederatedConfig.validate``: they relate *several* fields
-and are not per-switch facts.
+Cross-switch constraints (e.g. ``workers > 1`` with the vectorized engine
+rejecting the MLP scorer) stay in ``FederatedConfig.validate``: they relate
+*several* fields and are not per-switch facts.
 """
 
 from __future__ import annotations
@@ -156,13 +156,6 @@ SWITCH_REGISTRY: tuple[SwitchSpec, ...] = (
             "score-block product) or 'candidates' (gathered candidate "
             "scoring, no catalog GEMM; same draws, same realization)"
         ),
-    ),
-    SwitchSpec(
-        name="fuse_rounds",
-        kind="int",
-        default=1,
-        minimum=1,
-        help="cross-round fusion window (>1 requires the vectorized engine)",
     ),
     SwitchSpec(
         name="workers",

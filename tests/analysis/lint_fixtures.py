@@ -31,7 +31,6 @@ __all__ = ["FederatedConfig"]
 class FederatedConfig:
     engine: str = "vectorized"
     eval_path: str = "block"
-    fuse_rounds: int = 1
     workers: int = 1
 
     def validate(self) -> None:
@@ -57,7 +56,6 @@ __all__ = ["ExperimentConfig"]
 class ExperimentConfig:
     engine: str = "vectorized"
     eval_path: str = "block"
-    fuse_rounds: int = 1
     workers: int = 1
 '''
 
@@ -75,7 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser()
     parser.add_argument("--engine")
     parser.add_argument("--eval-path")
-    parser.add_argument("--fuse-rounds")
     parser.add_argument("--workers")
     return parser
 '''
@@ -158,7 +155,6 @@ _README = """\
 | --- | --- | --- |
 | `engine` | `--engine` | `loop`, `vectorized` |
 | `eval_path` | `--eval-path` | `block`, `candidates` |
-| `fuse_rounds` | `--fuse-rounds` | positive int |
 | `workers` | `--workers` | positive int |
 """
 
@@ -211,7 +207,6 @@ SWITCH_REGISTRY = (
         default="block",
         choices=("block", "candidates"),
     ),
-    SwitchSpec(name="fuse_rounds", kind="int", default=1, minimum=1),
     SwitchSpec(name="workers", kind="int", default=1, minimum=1),
 )
 '''

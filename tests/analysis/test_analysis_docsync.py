@@ -41,20 +41,10 @@ def test_missing_experiment_mirror_fails(tmp_path) -> None:
     assert any("'eval_path'" in m and "mirror" in m for m in found)
 
 
-def test_numeric_extra_switch_checked(tmp_path) -> None:
-    # fuse_rounds has no literal-realization tuple but is user-facing; it is
-    # pulled in through EXTRA_SWITCH_FIELDS and needs the same three surfaces.
-    cli = CLEAN_TREE["src/repro/cli.py"].replace(
-        '    parser.add_argument("--fuse-rounds")\n', ""
-    )
-    root = write_tree(tmp_path, {**CLEAN_TREE, "src/repro/cli.py": cli})
-    found = messages(lint(root, select=["R5"]))
-    assert any("'--fuse-rounds'" in m for m in found)
-
-
 def test_workers_switch_checked(tmp_path) -> None:
-    # workers is an EXTRA_SWITCH_FIELDS entry like fuse_rounds: dropping any
-    # of its three surfaces must fail.
+    # workers has no literal-realization tuple but is user-facing; it is
+    # pulled in through EXTRA_SWITCH_FIELDS, and dropping any of its three
+    # surfaces must fail.
     cli = CLEAN_TREE["src/repro/cli.py"].replace(
         '    parser.add_argument("--workers")\n', ""
     )

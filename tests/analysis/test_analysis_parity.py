@@ -77,8 +77,8 @@ class TestDeletions:
 class TestRegistry:
     def test_new_switch_without_registered_suite_fails(self, tmp_path) -> None:
         config = CLEAN_TREE["src/repro/federated/config.py"].replace(
-            '    fuse_rounds: int = 1\n',
-            '    fuse_rounds: int = 1\n    eval_mode: str = "fast"\n',
+            '    workers: int = 1\n',
+            '    workers: int = 1\n    eval_mode: str = "fast"\n',
         ).replace(
             "        if self.eval_path not in",
             '        if self.eval_mode not in ("fast", "slow"):\n'

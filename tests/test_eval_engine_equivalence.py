@@ -370,14 +370,20 @@ class TestValidation:
         assert not calls
 
 
-class TestGenericScorerFallback:
-    """``evaluate_snapshot`` through the generic ``Recommender.score_block``.
+def _row_by_row(scorer, user_factors):
+    """A block callback scoring each user's vector through ``score_items``."""
+    return lambda users: np.stack(
+        [scorer.score_items(vector) for vector in user_factors[users]]
+    )
 
-    A custom scorer that only implements ``score_items`` must work through
-    the base class's row-by-row ``score_block`` fallback (now a deprecated
-    shim — the warning itself is covered in ``test_scorer_protocol.py``),
-    and — when its per-row arithmetic matches MF exactly — must reproduce
-    the id-based MF protocol path's metrics.  Integer-valued factors keep
+
+class TestGenericScorerFallback:
+    """``evaluate_snapshot`` through a row-by-row callback over ``score_items``.
+
+    A custom scorer that only implements ``score_items`` works through a
+    block callback that stacks its rows, and — when its per-row arithmetic
+    matches MF exactly — must reproduce the id-based MF protocol path's
+    metrics.  Integer-valued factors keep
     every dot product exact, so the row-by-row fallback (vector-matrix
     products) and the MF block path (one matrix-matrix product) cannot
     drift apart in floating point.
@@ -439,7 +445,7 @@ class TestGenericScorerFallback:
         )
         results = {}
         for name, score_block in (
-            ("fallback", lambda users: scorer.score_block(user_factors[users])),
+            ("fallback", _row_by_row(scorer, user_factors)),
             ("mf", model.score_block),
         ):
             for engine in ("loop", "vectorized"):
@@ -458,7 +464,7 @@ class TestGenericScorerFallback:
     def test_fallback_accepts_single_row_blocks(self, setup):
         scorer, user_factors, _, dataset, test_items = setup
         result = evaluate_snapshot(
-            lambda users: scorer.score_block(user_factors[users]),
+            _row_by_row(scorer, user_factors),
             dataset,
             test_items=test_items,
             num_negatives=None,

@@ -59,20 +59,24 @@ class TestExperimentConfig:
         assert ExperimentConfig().rho == pytest.approx(0.05)
 
 
-class TestRemovedSamplerKnobs:
-    """The negative streams are fixed: the two sampler switches are gone."""
+#: Deleted config knobs and a value each that the old field accepted.
+_REMOVED_KNOBS = {"sampler": "batched", "eval_sampler": "batched", "fuse_rounds": 2}
 
-    @pytest.mark.parametrize("knob", ["sampler", "eval_sampler"])
+
+class TestRemovedSamplerKnobs:
+    """Deleted switches stay deleted: the two sampler switches and fusion."""
+
+    @pytest.mark.parametrize("knob", list(_REMOVED_KNOBS))
     def test_experiment_config_rejects_knob(self, knob):
         with pytest.raises(TypeError):
-            ExperimentConfig(**{knob: "batched"})
+            ExperimentConfig(**{knob: _REMOVED_KNOBS[knob]})
 
-    @pytest.mark.parametrize("knob", ["sampler", "eval_sampler"])
+    @pytest.mark.parametrize("knob", list(_REMOVED_KNOBS))
     def test_federated_config_rejects_knob(self, knob):
         from repro.federated.config import FederatedConfig
 
         with pytest.raises(TypeError):
-            FederatedConfig(**{knob: "batched"})
+            FederatedConfig(**{knob: _REMOVED_KNOBS[knob]})
 
     def test_bench_profile_pins_no_sampler(self):
         from dataclasses import replace
@@ -83,12 +87,26 @@ class TestRemovedSamplerKnobs:
         assert not hasattr(applied, "sampler")
         assert not hasattr(applied, "eval_sampler")
 
-    def test_registry_has_fourteen_switches(self):
+    def test_profile_rejects_fuse_rounds(self):
+        from dataclasses import replace
+
+        with pytest.raises(TypeError):
+            replace(BENCH_PROFILE, fuse_rounds=2)
+        applied = BENCH_PROFILE.apply(ExperimentConfig())
+        assert not hasattr(applied, "fuse_rounds")
+
+    def test_cli_rejects_fuse_rounds_flag(self):
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run", "--fuse-rounds", "2"])
+
+    def test_registry_has_thirteen_switches(self):
         from repro.federated.switches import SWITCH_REGISTRY, switch_names
 
-        assert len(SWITCH_REGISTRY) == 14
-        assert "sampler" not in switch_names()
-        assert "eval_sampler" not in switch_names()
+        assert len(SWITCH_REGISTRY) == 13
+        for knob in _REMOVED_KNOBS:
+            assert knob not in switch_names()
 
 
 class TestProfiles:

@@ -202,7 +202,7 @@ class TestCLI:
                 "--factors", "8",
                 "--clients-per-round", "32",
                 "--engine", "vectorized",
-                "--fuse-rounds", "2",
+                "--eval-path", "candidates",
             ]
         )
         assert exit_code == 0
@@ -213,9 +213,7 @@ class TestCLI:
         (
             ["--engine", "warp"],
             ["--eval-path", "alias"],
-            ["--fuse-rounds", "0"],
-            # The *pair* is validated: fusion requires the vectorized engine.
-            ["--engine", "loop", "--fuse-rounds", "2"],
+            ["--workers", "0"],
         ),
     )
     def test_invalid_switch_values_rejected(self, flags):

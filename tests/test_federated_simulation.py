@@ -5,10 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.attacks.base import Attack
+from repro.attacks.fedrecattack import FedRecAttack, FedRecAttackConfig
 from repro.attacks.shilling import RandomAttack
 from repro.exceptions import FederationError
 from repro.federated.config import FederatedConfig
 from repro.federated.simulation import FederatedSimulation
+from repro.federated.updates import ClientUpdate
 from repro.rng import SeedSequenceFactory
 
 
@@ -266,3 +269,135 @@ class TestRoundCounter:
         total_clients = small_split.train.num_users + 40
         rounds_per_epoch = int(np.ceil(total_clients / 32))
         assert simulation.server.rounds_applied == rounds_per_epoch
+
+
+ENGINES = ("loop", "vectorized")
+
+
+class _NonFiniteAttack(Attack):
+    """Test-only attack: every malicious client uploads one ``value`` entry.
+
+    The entry sits in an item-gradient row, or with ``theta=True`` in the
+    scorer-parameter gradient (the item row then stays zero).
+    """
+
+    name = "non-finite"
+
+    def __init__(self, value: float, theta: bool = False) -> None:
+        super().__init__()
+        self.value = value
+        self.theta = theta
+
+    def craft_update(self, client, item_factors, scorer, round_index):
+        row = np.zeros((1, item_factors.shape[1]))
+        theta_gradient = None
+        if self.theta:
+            theta_gradient = np.zeros(scorer.num_parameters)
+            theta_gradient[0] = self.value
+        else:
+            row[0, 0] = self.value
+        return ClientUpdate(
+            client_id=client.client_id,
+            item_ids=np.array([0]),
+            item_gradients=row,
+            theta_gradient=theta_gradient,
+            is_malicious=True,
+        )
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+class TestRoundPipeline:
+    """Round-pipeline invariants that must hold on both engines."""
+
+    def test_observer_sees_each_round_once(self, small_split, small_targets, engine):
+        seen: list[tuple[int, int]] = []
+        simulation = _simulation(small_split, small_targets, engine=engine, num_epochs=2)
+        simulation.update_observer = lambda round_index, updates: seen.append(
+            (round_index, len(updates))
+        )
+        simulation.run()
+        assert [index for index, _ in seen] == list(range(simulation.server.rounds_applied))
+        assert all(count > 0 for _, count in seen)
+
+    def test_clip_only_dp_bounds_uploaded_rows(self, small_split, small_targets, engine):
+        simulation = _simulation(
+            small_split,
+            small_targets,
+            engine=engine,
+            clip_benign_gradients=True,
+            clip_norm=0.05,
+        )
+        norms: list[float] = []
+        simulation.update_observer = lambda _, updates: norms.extend(
+            u.max_row_norm for u in updates
+        )
+        simulation.run(num_epochs=1)
+        assert norms and max(norms) <= 0.05 + 1e-12
+
+    def test_fedrecattack_uploads_reach_observer(
+        self, small_split, small_public, small_targets, engine
+    ):
+        attack = FedRecAttack(
+            small_public,
+            FedRecAttackConfig(kappa=12, approx_epochs_initial=2, approx_epochs_per_round=1),
+        )
+        simulation = _simulation(
+            small_split, small_targets, attack=attack, num_malicious=4, engine=engine
+        )
+        malicious_rounds: list[int] = []
+        simulation.update_observer = lambda round_index, updates: malicious_rounds.extend(
+            round_index for u in updates if u.is_malicious
+        )
+        result = simulation.run()
+        assert malicious_rounds, "malicious uploads must reach the observer"
+        assert np.all(np.isfinite(result.history.training_loss()))
+
+    @pytest.mark.parametrize("aggregator", ("sum", "mean"))
+    @pytest.mark.parametrize("value", (np.nan, np.inf), ids=("nan", "inf"))
+    def test_non_finite_upload_fails_the_round(
+        self, small_split, small_targets, engine, aggregator, value
+    ):
+        simulation = _simulation(
+            small_split,
+            small_targets,
+            attack=_NonFiniteAttack(value),
+            num_malicious=2,
+            engine=engine,
+            aggregator=aggregator,
+        )
+        before: list[tuple[int, np.ndarray]] = []
+        simulation.update_observer = lambda round_index, _: before.append(
+            (round_index, simulation.server.item_factors.copy())
+        )
+        with pytest.raises(FederationError, match="left V non-finite") as raised:
+            simulation.run()
+        round_index, item_factors = before[-1]
+        assert f"round {round_index}" in str(raised.value)
+        assert simulation.server.rounds_applied == round_index
+        np.testing.assert_array_equal(simulation.server.item_factors, item_factors)
+
+    def test_non_finite_theta_fails_the_round(self, small_split, small_targets, engine):
+        simulation = _simulation(
+            small_split,
+            small_targets,
+            attack=_NonFiniteAttack(np.nan, theta=True),
+            num_malicious=2,
+            engine=engine,
+            use_learnable_scorer=True,
+            scorer_hidden_units=8,
+        )
+        before: list[tuple[int, np.ndarray, np.ndarray]] = []
+        simulation.update_observer = lambda round_index, _: before.append(
+            (
+                round_index,
+                simulation.server.item_factors.copy(),
+                simulation.server.scorer.get_parameters().copy(),
+            )
+        )
+        with pytest.raises(FederationError, match="left Theta non-finite") as raised:
+            simulation.run()
+        round_index, item_factors, parameters = before[-1]
+        assert f"round {round_index}" in str(raised.value)
+        assert simulation.server.rounds_applied == round_index
+        np.testing.assert_array_equal(simulation.server.item_factors, item_factors)
+        np.testing.assert_array_equal(simulation.server.scorer.get_parameters(), parameters)

@@ -171,20 +171,6 @@ class TestSwitchValidation:
         with pytest.raises(ConfigurationError, match="min_reporters must be at least 0"):
             FederatedConfig(min_reporters=-1).validate()
 
-    def test_dynamics_require_unfused_rounds(self):
-        with pytest.raises(ConfigurationError, match="require fuse_rounds=1"):
-            FederatedConfig(
-                engine="vectorized", fuse_rounds=2, dropout_rate=0.1
-            ).validate()
-
-    def test_quorum_degradation_requires_unfused_rounds(self):
-        with pytest.raises(
-            ConfigurationError, match=r"degradation='quorum' requires fuse_rounds=1"
-        ):
-            FederatedConfig(
-                engine="vectorized", fuse_rounds=2, degradation="quorum"
-            ).validate()
-
 
 class TestDynamicsDeterminism:
     def test_defaults_record_no_incidents(self, small_split, small_public, small_targets):

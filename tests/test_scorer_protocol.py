@@ -3,7 +3,7 @@
 The serving redesign's contract: every scoring consumer (the evaluation
 engine, the serving layer) dispatches *structurally* on
 :class:`repro.models.base.ScorerProtocol`, never nominally on concrete model
-classes.  This suite pins the three legs:
+classes.  This suite pins the legs:
 
 * **conformance** — plain MF implements the protocol by inheritance, the MLP
   path through the standalone :class:`~repro.models.neural.MLPRecommender`
@@ -12,9 +12,8 @@ classes.  This suite pins the three legs:
   normalises protocol objects to their bound ``score_block`` and passes bare
   callables through, and ``evaluate_snapshot`` produces bit-identical
   reports either way;
-* **deprecation** — the legacy vector-based ``Recommender.score_block``
-  fallback still works but warns (the covered shim the redesign keeps for
-  historical subclasses).
+* **no vector fallback** — a ``Recommender`` that implements only
+  ``score_items`` has no ``score_block`` and is not a scorer.
 """
 
 from __future__ import annotations
@@ -124,23 +123,12 @@ class TestResolveScoreBlock:
         assert via_protocol.exposure == via_callback.exposure
 
 
-class TestDeprecatedVectorFallback:
-    def test_generic_score_block_warns(self):
+class TestVectorOnlyRecommender:
+    def test_score_items_only_is_not_a_scorer(self):
+        """The vector-based ``score_block`` shim is gone from ``Recommender``."""
         scorer = _VectorOnlyScorer(np.eye(4))
-        vectors = np.array([[1.0, 0.0, 2.0, 0.0], [0.0, 1.0, 0.0, 3.0]])
-        with pytest.warns(DeprecationWarning, match="id-based"):
-            block = scorer.score_block(vectors)
-        np.testing.assert_array_equal(
-            block, np.stack([scorer.score_items(vector) for vector in vectors])
-        )
-
-    def test_id_based_override_does_not_warn(self):
-        import warnings
-
-        model = _mf()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            model.score_block(np.arange(3, dtype=np.int64))
+        assert not hasattr(scorer, "score_block")
+        assert not isinstance(scorer, ScorerProtocol)
 
 
 class TestMatrixFactorizationProtocolSurface:
